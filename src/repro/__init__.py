@@ -19,7 +19,7 @@ True
 
 from repro.core import SGLConfig, SGLearner, SGLResult, learn_graph
 from repro.graphs import WeightedGraph
-from repro.measurements import MeasurementSet, simulate_measurements
+from repro.measurements import MeasurementError, MeasurementSet, simulate_measurements
 
 __version__ = "1.2.0"
 
@@ -29,6 +29,7 @@ __all__ = [
     "SGLResult",
     "learn_graph",
     "WeightedGraph",
+    "MeasurementError",
     "MeasurementSet",
     "simulate_measurements",
     "__version__",

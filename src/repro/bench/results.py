@@ -7,7 +7,8 @@ Artifact layout (``BENCH_<tag>.json``, schema v1)::
       "schema_version": 1,
       "tag": "smoke",
       "created_at": "2026-07-30T12:00:00+00:00",
-      "environment": {"python": ..., "numpy": ..., "scipy": ..., "platform": ...},
+      "environment": {"python": ..., "numpy": ..., "scipy": ..., "platform": ...,
+                      "cpu_count": ..., "blas": ..., "blas_threads": {...}},
       "run_config": {"warmup": 0, "repeats": 1, ...},
       "results": [ <BenchRecord.as_dict()>, ... ]
     }
@@ -37,6 +38,7 @@ from the time gate (``min_seconds``) — they are dominated by timer noise.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import sys
 from dataclasses import dataclass, field
@@ -68,16 +70,32 @@ class ArtifactError(ValueError):
 
 
 def environment_info() -> dict:
-    """Interpreter / library / platform provenance embedded in artifacts."""
+    """Interpreter / library / platform provenance embedded in artifacts.
+
+    Besides versions it records what a timing depends on: the CPU count,
+    numpy's BLAS vendor and the thread count of every loaded OpenBLAS copy
+    (outside :func:`repro.linalg.threads.single_threaded_blas`, i.e. what
+    non-learner code runs with).
+    """
     import numpy
     import scipy
 
+    from repro.linalg.threads import blas_thread_counts
+
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_vendor = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.25 has no mode="dicts"
+        blas_vendor = "unknown"
     return {
         "python": sys.version.split()[0],
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "platform": platform.platform(),
         "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "blas": blas_vendor,
+        "blas_threads": blas_thread_counts(),
     }
 
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.graphs.graph import WeightedGraph
 from repro.linalg.solvers import LaplacianSolver
+from repro.measurements.validation import MeasurementError
 
 __all__ = ["edge_scaling_factor", "spectral_edge_scaling"]
 
@@ -44,6 +45,13 @@ def edge_scaling_factor(
         The corresponding current excitations ``Y`` of shape ``(N, M)``.
     solver:
         Optional pre-built solver for ``graph``'s Laplacian.
+
+    Raises
+    ------
+    repro.measurements.MeasurementError
+        When a voltage column has zero energy while the learned graph's
+        response to its current does not, or no column carries energy.
+        Columns where both are zero carry no information and are skipped.
     """
     voltages = np.asarray(voltages, dtype=np.float64)
     currents = np.asarray(currents, dtype=np.float64)
@@ -57,9 +65,17 @@ def edge_scaling_factor(
     simulated = solver.solve(currents)  # x~_i columns
     measured_norms = np.einsum("ij,ij->j", voltages, voltages)
     simulated_norms = np.einsum("ij,ij->j", simulated, simulated)
-    # Guard against degenerate zero-energy measurements.
-    floor = max(float(measured_norms.max(initial=0.0)), 1.0) * 1e-30
-    ratios = simulated_norms / np.maximum(measured_norms, floor)
+    informative = measured_norms > 0
+    unmatched = np.flatnonzero(~informative & (simulated_norms > 0))
+    if unmatched.size:
+        column = int(unmatched[0])
+        raise MeasurementError(
+            f"voltage column {column} has zero energy but the graph's response to its current does not",
+            column=column,
+        )
+    if not informative.any():
+        raise MeasurementError("no measurement column has nonzero voltage energy")
+    ratios = simulated_norms[informative] / measured_norms[informative]
     return float(np.sqrt(ratios.mean()))
 
 
@@ -70,9 +86,14 @@ def spectral_edge_scaling(
     *,
     solver: LaplacianSolver | None = None,
 ) -> tuple[WeightedGraph, float]:
-    """Apply Step 5: return the rescaled graph and the factor used."""
+    """Apply Step 5: return the rescaled graph and the factor used.
+
+    Raises :class:`~repro.measurements.MeasurementError` when the factor is
+    not a finite positive number (degenerate or out-of-range measurements).
+    """
     factor = edge_scaling_factor(graph, voltages, currents, solver=solver)
-    if factor <= 0 or not np.isfinite(factor):
-        # Degenerate measurements: leave the graph untouched.
-        return graph, 1.0
+    if not (np.isfinite(factor) and factor > 0):
+        raise MeasurementError(
+            f"Step-5 scaling factor is {factor}; the measurements' energies are degenerate"
+        )
     return graph.scaled(factor), factor

@@ -45,7 +45,9 @@ from repro.embedding.spectral import spectral_embedding_matrix
 from repro.graphs.graph import WeightedGraph
 from repro.knn.knn_graph import knn_graph
 from repro.knn.mst import maximum_spanning_tree
+from repro.linalg.threads import single_threaded_blas
 from repro.measurements.generator import MeasurementSet
+from repro.measurements.validation import check_measurements
 
 __all__ = ["SGLearner", "SGLResult", "learn_graph"]
 
@@ -222,17 +224,27 @@ class SGLearner:
         Returns
         -------
         SGLResult
+
+        Raises
+        ------
+        repro.measurements.MeasurementError
+            For a non-finite voltage or current, a column whose energy
+            overflows, or a zero-energy voltage column driven by a nonzero
+            current (:func:`repro.measurements.check_measurements`).
         """
         if isinstance(measurements, MeasurementSet):
             voltages = measurements.voltages
             currents = measurements.currents
         else:
             voltages = np.asarray(measurements, dtype=np.float64)
+            if currents is not None:
+                currents = np.asarray(currents, dtype=np.float64)
         if voltages.ndim != 2:
             raise ValueError("voltages must be an (N, M) matrix")
         n_nodes, n_measurements = voltages.shape
         if n_nodes < 3:
             raise ValueError("need at least three nodes to learn a graph")
+        check_measurements(voltages, currents)
         config = self.config
         if timings is None:
             timings = StageTimings()
@@ -241,7 +253,9 @@ class SGLearner:
         # repro.obs tracer); every stage entry below nests under it, and
         # each densification iteration gets its own child span, so a traced
         # run yields fit -> iteration -> stage trees whose per-stage totals
-        # are exactly the StageTimings sums.
+        # are exactly the StageTimings sums.  The body's dense kernels work
+        # on N x ~r blocks, where a second BLAS thread costs more than it
+        # saves (docs/performance.md, "BLAS threads").
         with obs_span(
             "sgl.fit",
             n_nodes=n_nodes,
@@ -249,7 +263,8 @@ class SGLearner:
             embedding_engine=config.embedding_engine,
             knn_backend=config.knn_backend,
         ):
-            result = self._fit_body(voltages, currents, timings, checkpoint_path)
+            with single_threaded_blas():
+                result = self._fit_body(voltages, currents, timings, checkpoint_path)
             set_attributes(
                 converged=result.converged,
                 n_iterations=result.n_iterations,

@@ -11,16 +11,20 @@ subpackage implements that full measurement pipeline:
   Sec. II-D used in the sample-complexity analysis;
 * :mod:`noise`     -- the multiplicative Gaussian noise model of Fig. 9;
 * :mod:`reduction` -- node-subset voltage sampling for learning reduced
-  networks (Fig. 8).
+  networks (Fig. 8);
+* :mod:`validation` -- the boundary checks the learners run on their input.
 """
 
 from repro.measurements.generator import MeasurementSet, simulate_measurements
 from repro.measurements.jl import jl_measurements, jl_project, jl_projection_matrix
 from repro.measurements.noise import add_measurement_noise
 from repro.measurements.reduction import sample_node_subset, subset_measurements
+from repro.measurements.validation import MeasurementError, check_measurements
 
 __all__ = [
+    "MeasurementError",
     "MeasurementSet",
+    "check_measurements",
     "simulate_measurements",
     "jl_measurements",
     "jl_project",

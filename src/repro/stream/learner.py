@@ -55,7 +55,9 @@ from repro.core.sensitivity import edge_sensitivities
 from repro.core.sgl import SGLearner, SGLResult
 from repro.embedding.engine import EmbeddingEngine
 from repro.graphs.graph import WeightedGraph
+from repro.linalg.threads import single_threaded_blas
 from repro.measurements.generator import MeasurementSet
+from repro.measurements.validation import check_measurements
 from repro.obs.tracing import set_attributes, span as obs_span
 from repro.stream.drift import DriftDecision, DriftDetector
 
@@ -295,12 +297,18 @@ class OnlineSGLearner:
 
     # ------------------------------------------------------------------
     def fit(self, measurements: MeasurementSet) -> StreamUpdate:
-        """Learn the initial graph from the first measurement window."""
+        """Learn the initial graph from the first measurement window.
+
+        Raises :class:`~repro.measurements.MeasurementError` for a batch
+        :func:`~repro.measurements.check_measurements` rejects, before any
+        state changes.
+        """
         if self._graph is not None:
             raise RuntimeError("fit() already ran; use update() for new batches")
+        check_measurements(measurements.voltages, measurements.currents)
         start = time.perf_counter()
         timings = StageTimings()
-        with obs_span("stream.fit", n_nodes=measurements.n_nodes):
+        with obs_span("stream.fit", n_nodes=measurements.n_nodes), single_threaded_blas():
             self._append_window(measurements)
             result = SGLearner(self.config).fit(self.window, timings=timings)
             self._adopt_refit(result)
@@ -326,16 +334,23 @@ class OnlineSGLearner:
         return update
 
     def update(self, new_measurements: MeasurementSet) -> StreamUpdate:
-        """Fold one new measurement batch into the learned graph."""
+        """Fold one new measurement batch into the learned graph.
+
+        Raises :class:`~repro.measurements.MeasurementError` for a batch
+        :func:`~repro.measurements.check_measurements` rejects, before the
+        window or the drift state changes.  Like :meth:`SGLearner.fit`, the
+        update runs its dense kernels on one BLAS thread.
+        """
         if self._graph is None:
             raise RuntimeError("call fit() with the initial window first")
+        check_measurements(new_measurements.voltages, new_measurements.currents)
         start = time.perf_counter()
         timings = StageTimings()
         with obs_span(
             "stream.update",
             update=self._n_updates,
             n_new=new_measurements.n_measurements,
-        ):
+        ), single_threaded_blas():
             with timings.stage("drift_check"):
                 decision = self.drift.assess(new_measurements)
             self._append_window(new_measurements)

@@ -98,6 +98,15 @@ def test_artifact_roundtrip(tiny_records, tmp_path):
     assert len(loaded["results"]) == 2
 
 
+def test_artifact_environment_records_cpu_and_blas(tiny_records):
+    from repro.linalg.threads import blas_thread_counts
+
+    environment = make_artifact("unit", tiny_records)["environment"]
+    assert environment["cpu_count"] >= 1
+    assert isinstance(environment["blas"], str) and environment["blas"]
+    assert environment["blas_threads"] == blas_thread_counts()
+
+
 def test_validate_rejects_malformed(tiny_records):
     artifact = make_artifact("unit", tiny_records)
     broken = json.loads(json.dumps(artifact))
