@@ -18,34 +18,25 @@ __all__ = ["maximum_spanning_tree", "minimum_spanning_tree"]
 
 
 def _spanning_tree_edges(graph: WeightedGraph, *, maximize: bool) -> np.ndarray:
-    """Indices (into the graph's edge arrays) of the chosen spanning tree edges."""
+    """Sorted indices (into the graph's edge arrays) of the chosen tree edges."""
     if graph.n_edges == 0:
         return np.empty(0, dtype=np.int64)
     n = graph.n_nodes
-    # Build a matrix whose entries are edge indices + 1 so we can recover which
-    # original edge each tree arc corresponds to (weight ties are resolved the
-    # same way for the key matrix and the index matrix).
-    sort_weights = -graph.weights if maximize else graph.weights
-    key = sp.csr_matrix(
-        (sort_weights, (graph.rows, graph.cols)), shape=(n, n)
-    )
     # csgraph treats explicit zeros as missing; shift weights to be strictly
     # negative (maximize) or strictly positive (minimize) to avoid dropping
     # edges whose weight happens to be zero after negation.
+    sort_weights = -graph.weights if maximize else graph.weights
     shift = sort_weights.min() - 1.0
     shifted = sp.csr_matrix(
         (sort_weights - shift, (graph.rows, graph.cols)), shape=(n, n)
     )
     tree = _csgraph_mst(shifted).tocoo()
-    # Map tree arcs back to canonical edge indices.
-    edge_index = {}
-    for idx, (s, t) in enumerate(zip(graph.rows, graph.cols)):
-        edge_index[(int(s), int(t))] = idx
-    chosen = []
-    for s, t in zip(tree.row, tree.col):
-        key_pair = (int(min(s, t)), int(max(s, t)))
-        chosen.append(edge_index[key_pair])
-    return np.asarray(sorted(chosen), dtype=np.int64)
+    # Map tree arcs back to canonical edge indices: one binary search over
+    # the graph's sorted edge keys.
+    lo = np.minimum(tree.row, tree.col).astype(np.int64)
+    hi = np.maximum(tree.row, tree.col).astype(np.int64)
+    idx, _ = graph._find_edges(lo, hi)
+    return np.sort(idx)
 
 
 def maximum_spanning_tree(graph: WeightedGraph) -> WeightedGraph:
@@ -55,7 +46,7 @@ def maximum_spanning_tree(graph: WeightedGraph) -> WeightedGraph:
     edges.
     """
     idx = _spanning_tree_edges(graph, maximize=True)
-    return WeightedGraph(
+    return WeightedGraph._from_canonical(
         graph.n_nodes, graph.rows[idx], graph.cols[idx], graph.weights[idx]
     )
 
@@ -63,6 +54,6 @@ def maximum_spanning_tree(graph: WeightedGraph) -> WeightedGraph:
 def minimum_spanning_tree(graph: WeightedGraph) -> WeightedGraph:
     """Minimum-weight spanning forest of ``graph``."""
     idx = _spanning_tree_edges(graph, maximize=False)
-    return WeightedGraph(
+    return WeightedGraph._from_canonical(
         graph.n_nodes, graph.rows[idx], graph.cols[idx], graph.weights[idx]
     )

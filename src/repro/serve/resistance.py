@@ -38,10 +38,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro.graphs.graph import WeightedGraph
 from repro.knn.mst import maximum_spanning_tree
-from repro.linalg.solvers import grounded_splu
 
 __all__ = ["ResistanceOracle"]
 
@@ -113,20 +113,35 @@ class ResistanceOracle:
         )
         parent = np.asarray(parents, dtype=np.int64)
         parent[0] = 0  # root points at itself: lifting past the root is a no-op
-        depth = np.zeros(n, dtype=np.int64)
-        pot = np.zeros(n, dtype=np.float64)
         order = np.asarray(order, dtype=np.int64)
         non_root = order[1:]
-        # BFS order guarantees parents are finalised before children.
-        edge_w = tree.edge_weights(
+        edge_r = 1.0 / tree.edge_weights(
             np.column_stack([parent[non_root], non_root])
         )
-        for node, w in zip(non_root, edge_w):
-            p = parent[node]
+        # Root potentials as unevaluated sums hi + lo (one TwoSum per edge).
+        # A path resistance is a difference of two potentials that share the
+        # prefix from the root; in plain float64 the prefix's rounding
+        # survives that subtraction, which loses ~1e-8 relative on a short
+        # path of strong edges below a long path of weak ones.  BFS order
+        # guarantees parents are finalised before children.
+        parent_of = parent.tolist()
+        depth = [0] * n
+        hi = [0.0] * n
+        lo = [0.0] * n
+        for node, r in zip(non_root.tolist(), edge_r.tolist()):
+            p = parent_of[node]
+            before = hi[p]
+            total = before + r
+            step = total - before
+            lo[node] = lo[p] + ((before - (total - step)) + (r - step))
+            hi[node] = total
             depth[node] = depth[p] + 1
-            pot[node] = pot[p] + 1.0 / w
+        depth = np.asarray(depth, dtype=np.int64)
+        self._order = order
+        self._edge_r = edge_r
         self._depth = depth
-        self._pot = pot
+        self._pot = np.asarray(hi)
+        self._pot_lo = np.asarray(lo)
         levels = max(1, int(np.ceil(np.log2(max(int(depth.max()), 1) + 1))) + 1)
         up = np.empty((levels, n), dtype=np.int64)
         up[0] = parent
@@ -163,7 +178,10 @@ class ResistanceOracle:
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         s, t = pairs[:, 0], pairs[:, 1]
         lca = self._lca(s, t)
-        return self._pot[s] + self._pot[t] - 2.0 * self._pot[lca]
+        hi, lo = self._pot, self._pot_lo
+        return ((hi[s] - hi[lca]) + (hi[t] - hi[lca])) + (
+            (lo[s] - lo[lca]) + (lo[t] - lo[lca])
+        )
 
     # ------------------------------------------------------------------
     def _build_correction(self, graph: WeightedGraph, tree: WeightedGraph) -> None:
@@ -178,19 +196,44 @@ class ResistanceOracle:
             self._z = None
             self._cho = None
             return
-        lu = grounded_splu(tree.laplacian()[1:, 1:])
-        # U_g columns are e_a - e_b with the ground (node 0) coordinate
-        # dropped; solve T_g Z = U_g once for all off-tree edges.
+        # Solve T_g Z = U_g for all off-tree edges through the tree's
+        # structure, not by factorising T_g.  Eliminating a tree Laplacian
+        # subtracts each edge weight from its endpoint's degree, which loses
+        # every digit the weight range holds (learned weights can span 1e8:
+        # ~1e-8 relative error in Z).  With B the rooted tree's incidence
+        # matrix (row per non-root node x: +1 at x, -1 at its parent),
+        # T_g = B^T R^{-1} B for the edge resistances R, so
+        # Z = B^{-1} R B^{-T} U_g: the flow on each tree edge is a subtree
+        # sum of +-1 injections (exact), and each potential is its parent's
+        # plus ``r * flow``.  In BFS order B is unit lower triangular.
+        order = self._order
+        position = np.empty(n, dtype=np.int64)
+        position[order] = np.arange(n)
+        child = position[order[1:]] - 1
+        parent_pos = position[self._up[0][order[1:]]] - 1
+        keep = parent_pos >= 0  # the root's column is grounded away
+        incidence = sp.csc_matrix(
+            (
+                np.concatenate([np.ones(n - 1), -np.ones(int(keep.sum()))]),
+                (
+                    np.concatenate([child, child[keep]]),
+                    np.concatenate([child, parent_pos[keep]]),
+                ),
+            ),
+            shape=(n - 1, n - 1),
+        )
+        lu = spla.splu(incidence, permc_spec="NATURAL", diag_pivot_thresh=0.0)
         rhs = np.zeros((n - 1, m))
         cols = np.arange(m)
         a, b = off_edges[:, 0], off_edges[:, 1]
-        mask_a = a > 0
-        rhs[a[mask_a] - 1, cols[mask_a]] = 1.0
-        mask_b = b > 0
-        rhs[b[mask_b] - 1, cols[mask_b]] -= 1.0
-        z_grounded = lu.solve(rhs)
+        pa, pb = position[a] - 1, position[b] - 1
+        mask_a = pa >= 0
+        rhs[pa[mask_a], cols[mask_a]] = 1.0
+        mask_b = pb >= 0
+        rhs[pb[mask_b], cols[mask_b]] -= 1.0
+        flow = lu.solve(rhs, trans="T")
         z = np.zeros((n, m))
-        z[1:] = z_grounded
+        z[order[1:]] = lu.solve(self._edge_r[:, None] * flow)
         self._z = z
         gram = z[a] - z[b]  # U_g^T Z, row per off-tree edge
         M = np.diag(1.0 / off_weights) + gram

@@ -304,7 +304,10 @@ class GraphService:
         Always re-resolves the reference and re-reads (and re-validates)
         the file, so ``warm`` is also how a replaced artifact under a known
         path — or a newly published registry version — gets picked up; the
-        superseded session is invalidated in the same step.  Returns the
+        superseded session is invalidated in the same step.  When the new
+        graph only rescales the superseded one, the new session shares its
+        resistance engine and label cache (see :class:`GraphSession`'s
+        ``previous``) and ``serve.cache.rescaled`` counts it.  Returns the
         (possibly pre-existing) session, so it doubles as the synchronous
         entry point for in-process callers that want the session object.
         """
@@ -320,6 +323,9 @@ class GraphService:
                 stale += self._remember(target, checksum)
                 if file_path != target:
                     stale += self._remember(file_path, checksum)
+            # The session this key served until now: a rescale-only new
+            # version shares its resistance engine and label cache.
+            previous = self._sessions.get(self._path_keys.get(target))
             loaded = len(self._sessions)
         if cached is not None:
             self._set_cache_gauge(loaded)
@@ -329,7 +335,7 @@ class GraphService:
         # Build outside the lock — factorising can take seconds.  Two
         # concurrent cold loads of the same model may both build; the
         # loser's session is discarded below, which only wastes work.
-        session = GraphSession(artifact, **self._session_options)
+        session = GraphSession(artifact, previous=previous, **self._session_options)
         evicted = 0
         with self._cache_lock:
             existing = self._sessions.get(checksum)
@@ -359,6 +365,8 @@ class GraphService:
         self._set_cache_gauge(loaded)
         if existing is None:
             self.metrics.counter("serve.cache.loads").inc()
+            if session.derived_from is not None:
+                self.metrics.counter("serve.cache.rescaled").inc()
         if evicted:
             self.metrics.counter("serve.cache.evictions").inc(evicted)
         if stale:

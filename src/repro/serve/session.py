@@ -2,19 +2,31 @@
 
 :class:`GraphSession` is the unit of serving state.  Building one from a
 :class:`~repro.artifacts.ModelArtifact` pays every per-model cost exactly
-once — the grounded SuperLU factorisation of the learned Laplacian, the
+once — the tree-plus-low-rank resistance oracle (or, on graphs that are
+not tree-like, a grounded SuperLU factorisation built on first use), the
 nearest-neighbour index over the stored spectral embedding, the per-``k``
 spectral-cluster labelings — after which each query kind is a cheap batched
 operation:
 
-* **effective-resistance queries** run through the grouped-RHS fast path
-  (:func:`repro.metrics.effective_resistance_batched`): one multi-RHS
-  triangular solve per batch instead of one solve per pair;
+* **effective-resistance queries** run through the oracle, or through the
+  grouped-RHS fast path (:func:`repro.metrics.effective_resistance_batched`):
+  one multi-RHS triangular solve per batch instead of one solve per pair;
 * **nearest-neighbour lookups** reuse :func:`repro.knn.backends.build_index`
   over the stored embedding (squared embedding distances approximate
   effective resistances, Eq. 13, so "nearest" means electrically closest);
 * **cluster-label queries** hit a lazily computed, cached spectral
   clustering of the learned graph.
+
+**Rescale-only versions.**  SGL's Step 5 multiplies every conductance by
+one global factor, so most versions a stream publishes are the previous
+graph times ``c``.  Such a graph has the same resistances times ``1/c``,
+the same spectral clusters and the same embedding.  A session built with
+``previous=`` checks the new graph against the graph the previous
+session's state was built from (same ``n_nodes``, bit-equal canonical
+``rows``/``cols``, every weight ratio within 16 ulp of one positive
+``c``) and, when it holds, shares that state instead of
+rebuilding it.  Every resistance answer is the shared answer divided by
+``c`` — ``c = 1`` for a freshly built session — so there is one query path.
 
 Sessions are deliberately synchronous and thread-compatible: the asyncio
 front loop (:class:`repro.serve.GraphService`) coalesces requests into
@@ -31,12 +43,129 @@ import numpy as np
 
 from repro.artifacts.store import ModelArtifact, load_result
 from repro.embedding.clustering import spectral_clustering
+from repro.graphs.graph import WeightedGraph
 from repro.knn.backends import build_index
 from repro.linalg.solvers import LaplacianSolver
 from repro.metrics.resistance import effective_resistance_batched
 from repro.serve.resistance import ResistanceOracle
 
 __all__ = ["GraphSession"]
+
+#: How far, in units in the last place, each weight ratio ``new / base`` may
+#: lie from the common factor for the new graph to count as a global rescale.
+#: Step 5 multiplies weights that were themselves scaled, so two versions of
+#: one topology differ by a spread of a few ulp (2 ulp on the ``stream``
+#: benchmark); a genuine weight change moves a ratio by far more.
+_SCALE_ULPS = 16
+
+
+def _rescale_factor(base: WeightedGraph, graph: WeightedGraph) -> float | None:
+    """``c`` when ``graph`` is ``base`` with every weight times one ``c > 0``.
+
+    Returns ``None`` unless both graphs have the same node count, bit-equal
+    canonical ``rows``/``cols`` arrays and every weight ratio within
+    :data:`_SCALE_ULPS` ulp of one positive finite ``c``.  The check reads
+    the edge arrays themselves — O(E) — and trusts no metadata.
+
+    Examples
+    --------
+    >>> from repro.graphs.generators import grid_2d
+    >>> graph = grid_2d(3, 3)
+    >>> _rescale_factor(graph, graph.scaled(2.5))
+    2.5
+    >>> bumped = graph.weights.copy()
+    >>> bumped[0] *= 1.0 + 1e-9
+    >>> _rescale_factor(graph, graph.with_weights(bumped)) is None
+    True
+    """
+    if (
+        graph.n_nodes != base.n_nodes
+        or graph.n_edges != base.n_edges
+        or graph.n_edges == 0
+        or not np.array_equal(graph.rows, base.rows)
+        or not np.array_equal(graph.cols, base.cols)
+    ):
+        return None
+    ratios = graph.weights / base.weights
+    lo, hi = float(ratios.min()), float(ratios.max())
+    factor = 0.5 * (lo + hi)
+    if not (np.isfinite(factor) and factor > 0.0):
+        return None
+    if 0.5 * (hi - lo) > _SCALE_ULPS * float(np.spacing(factor)):
+        return None
+    return factor
+
+
+class _ScaleBase:
+    """Query state of one graph, shared by every session over a multiple of it.
+
+    Holds the resistance engine (the oracle, or a Laplacian factorisation
+    built on first use) and the per-``k`` label cache.  Both are exact for
+    every graph ``c * graph``: resistances divide by ``c`` and spectral
+    clusters do not move.
+    """
+
+    def __init__(
+        self, graph: WeightedGraph, checksum: str, resistance_engine: str, seed
+    ) -> None:
+        self.graph = graph
+        self.checksum = checksum
+        self.oracle: ResistanceOracle | None = None
+        if resistance_engine == "woodbury" or (
+            resistance_engine == "auto" and ResistanceOracle.eligible(graph)
+        ):
+            self.oracle = ResistanceOracle(graph)
+        self._seed = seed
+        self._solver: LaplacianSolver | None = None
+        self.labels: dict[int, np.ndarray] = {}
+        self._lock = threading.Lock()
+
+    @property
+    def solver(self) -> LaplacianSolver:
+        if self._solver is None:
+            with self._lock:
+                if self._solver is None:
+                    self._solver = LaplacianSolver(self.graph)
+        return self._solver
+
+    def resistances(self, pairs: np.ndarray, block: int) -> np.ndarray:
+        if self.oracle is not None:
+            return self.oracle.query(pairs)
+        return effective_resistance_batched(
+            self.graph, pairs, solver=self.solver, block_size=block
+        )
+
+    def cluster_labels(self, n_clusters: int) -> np.ndarray:
+        labels = self.labels.get(n_clusters)
+        if labels is None:
+            with self._lock:
+                labels = self.labels.get(n_clusters)
+                if labels is None:
+                    labels = spectral_clustering(
+                        self.graph, n_clusters, seed=self._seed
+                    )
+                    self.labels[n_clusters] = labels
+        return labels
+
+
+class _EmbeddingIndex:
+    """The nearest-neighbour index over one stored embedding, built on first use."""
+
+    def __init__(self, embedding: np.ndarray, backend: str, seed) -> None:
+        self.embedding = embedding
+        self._backend = backend
+        self._seed = seed
+        self._index = None
+        self._lock = threading.Lock()
+
+    def get(self):
+        if self._index is None:
+            with self._lock:
+                if self._index is None:
+                    self._index = build_index(
+                        self.embedding, self._backend, seed=self._seed
+                    )
+        return self._index
 
 
 class GraphSession:
@@ -61,6 +190,15 @@ class GraphSession:
         Right-hand sides per grouped Laplacian solve (fallback path).
     seed:
         Seed for the clustering k-means and any backend sampling.
+    previous:
+        The session this one replaces (what :meth:`GraphService.warm
+        <repro.serve.GraphService.warm>` passes when a reference moves to a
+        new version).  When the new graph is the graph behind
+        ``previous``'s state times one positive factor, and the options
+        match, the resistance engine and label cache are shared instead of
+        rebuilt, and so is the embedding index if the stored embeddings are
+        equal; :attr:`derived_from` and :attr:`scale` say what was shared.
+        Any other artifact builds fresh.
 
     Examples
     --------
@@ -89,6 +227,7 @@ class GraphSession:
         resistance_engine: str = "auto",
         resistance_block: int = 256,
         seed: int | None = 0,
+        previous: "GraphSession | None" = None,
     ) -> None:
         if resistance_engine not in ("auto", "woodbury", "grouped"):
             raise ValueError(
@@ -97,19 +236,35 @@ class GraphSession:
         self.artifact = artifact
         self.graph = artifact.graph
         self.checksum = artifact.checksum
-        self._knn_backend = knn_backend
+        self._options = (knn_backend, resistance_engine, int(resistance_block), seed)
         self._resistance_block = int(resistance_block)
-        self._seed = seed
         start = time.perf_counter()
-        self.solver = LaplacianSolver(self.graph)
-        self._oracle: ResistanceOracle | None = None
-        if resistance_engine == "woodbury" or (
-            resistance_engine == "auto" and ResistanceOracle.eligible(self.graph)
-        ):
-            self._oracle = ResistanceOracle(self.graph)
+        base = scale = None
+        if previous is not None and previous._options == self._options:
+            scale = _rescale_factor(previous._base.graph, self.graph)
+            if scale is not None:
+                base = previous._base
+        if base is None:
+            base, scale = _ScaleBase(self.graph, self.checksum, resistance_engine, seed), 1.0
+        self._base = base
+        #: This graph is the base graph times ``scale``.
+        self.scale = scale
+        #: Checksum of the artifact whose state this session shares (``None``
+        #: when the session built its own).
+        self.derived_from = None if base.graph is self.graph else base.checksum
+        embedding = artifact.embedding
+        self._index: _EmbeddingIndex | None = None
+        if embedding is not None:
+            if (
+                self.derived_from is not None
+                and previous._index is not None
+                and np.array_equal(previous._index.embedding, embedding)
+            ):
+                self._index = previous._index
+            else:
+                self._index = _EmbeddingIndex(embedding, knn_backend, seed)
         self.factor_seconds = time.perf_counter() - start
-        self._index = None
-        self._labels: dict[int, np.ndarray] = {}
+        self._solver: LaplacianSolver | None = None
         self._lock = threading.Lock()
         self._counters = {"resistance": 0, "neighbors": 0, "labels": 0}
 
@@ -127,47 +282,47 @@ class GraphSession:
     @property
     def has_embedding(self) -> bool:
         """Whether embedding-backed queries (neighbours) are available."""
-        return self.artifact.embedding is not None
+        return self._index is not None
+
+    @property
+    def solver(self) -> LaplacianSolver:
+        """Grounded factorisation of this session's Laplacian, built on first use.
+
+        The grouped resistance path reuses it; the oracle path never needs
+        it.  A fresh session shares it with its resistance engine.
+        """
+        if self._solver is None:
+            self._solver = (
+                self._base.solver
+                if self.derived_from is None
+                else LaplacianSolver(self.graph)
+            )
+        return self._solver
 
     # ------------------------------------------------------------------
     def _embedding_index(self):
         if self._index is None:
-            if self.artifact.embedding is None:
-                raise ValueError(
-                    "artifact was saved without an embedding; nearest-neighbour "
-                    "queries need save_result(..., include_embedding=True)"
-                )
-            with self._lock:
-                if self._index is None:
-                    self._index = build_index(
-                        self.artifact.embedding,
-                        self._knn_backend,
-                        seed=self._seed,
-                    )
-        return self._index
+            raise ValueError(
+                "artifact was saved without an embedding; nearest-neighbour "
+                "queries need save_result(..., include_embedding=True)"
+            )
+        return self._index.get()
 
     @property
     def resistance_engine(self) -> str:
         """The active resistance engine (``"woodbury"`` or ``"grouped"``)."""
-        return "woodbury" if self._oracle is not None else "grouped"
+        return "woodbury" if self._base.oracle is not None else "grouped"
 
     def effective_resistance(self, pairs: np.ndarray) -> np.ndarray:
         """Batched exact effective resistances ``R_eff(s, t)``.
 
         Through the tree-plus-low-rank oracle when active (no Laplacian
         solves at query time), otherwise one grouped multi-RHS solve per
-        ``resistance_block`` pairs, reusing the session's factorisation.
+        ``resistance_block`` pairs.  Either way the answer is the shared
+        engine's answer divided by :attr:`scale`.
         """
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        if self._oracle is not None:
-            out = self._oracle.query(pairs)
-        else:
-            out = effective_resistance_batched(
-                self.graph,
-                pairs,
-                solver=self.solver,
-                block_size=self._resistance_block,
-            )
+        out = self._base.resistances(pairs, self._resistance_block) / self.scale
         with self._lock:
             self._counters["resistance"] += pairs.shape[0]
         return out
@@ -229,15 +384,7 @@ class GraphSession:
         if n_clusters < 1:
             raise ValueError("n_clusters must be at least 1")
         n_clusters = min(n_clusters, self.n_nodes)
-        labels = self._labels.get(n_clusters)
-        if labels is None:
-            with self._lock:
-                labels = self._labels.get(n_clusters)
-                if labels is None:
-                    labels = spectral_clustering(
-                        self.graph, n_clusters, seed=self._seed
-                    )
-                    self._labels[n_clusters] = labels
+        labels = self._base.cluster_labels(n_clusters)
         if nodes is None:
             with self._lock:
                 self._counters["labels"] += self.n_nodes
@@ -261,7 +408,9 @@ class GraphSession:
             "has_embedding": self.has_embedding,
             "resistance_engine": self.resistance_engine,
             "factor_seconds": self.factor_seconds,
-            "cluster_cache": sorted(self._labels),
+            "derived_from": self.derived_from,
+            "scale": self.scale,
+            "cluster_cache": sorted(self._base.labels),
             "queries": counters,
         }
 

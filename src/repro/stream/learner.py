@@ -338,7 +338,11 @@ class OnlineSGLearner:
 
         Raises :class:`~repro.measurements.MeasurementError` for a batch
         :func:`~repro.measurements.check_measurements` rejects, before the
-        window or the drift state changes.  Like :meth:`SGLearner.fit`, the
+        window or the drift state changes.  A batch that fails later (Step 5
+        rejecting its energies, say) leaves the learner as it found it: the
+        window, graphs, scale, candidate pool and drift state are restored,
+        and the next update refits if the failed one had already moved the
+        embedding engine's warm state.  Like :meth:`SGLearner.fit`, the
         update runs its dense kernels on one BLAS thread.
         """
         if self._graph is None:
@@ -351,24 +355,29 @@ class OnlineSGLearner:
             update=self._n_updates,
             n_new=new_measurements.n_measurements,
         ), single_threaded_blas():
-            with timings.stage("drift_check"):
-                decision = self.drift.assess(new_measurements)
-            self._append_window(new_measurements)
-            if decision.refit:
-                mode = "refit"
-                result = SGLearner(self.config).fit(self.window, timings=timings)
-                self._adopt_refit(result)
-                history = result.history
-                n_added = result.graph.n_edges - result.initial_graph.n_edges
-                max_sensitivity = (
-                    history.records[-1].max_sensitivity if len(history) else 0.0
+            saved = self._checkpoint()
+            try:
+                with timings.stage("drift_check"):
+                    decision = self.drift.assess(new_measurements)
+                self._append_window(new_measurements)
+                if decision.refit:
+                    mode = "refit"
+                    result = SGLearner(self.config).fit(self.window, timings=timings)
+                    self._adopt_refit(result)
+                    history = result.history
+                    n_added = result.graph.n_edges - result.initial_graph.n_edges
+                    max_sensitivity = (
+                        history.records[-1].max_sensitivity if len(history) else 0.0
+                    )
+                else:
+                    mode = "incremental"
+                    history, n_added, max_sensitivity = self._incremental_pass(timings)
+                version = self._publish(
+                    timings, None, mode=mode, decision=decision, history=history
                 )
-            else:
-                mode = "incremental"
-                history, n_added, max_sensitivity = self._incremental_pass(timings)
-            version = self._publish(
-                timings, None, mode=mode, decision=decision, history=history
-            )
+            except BaseException:
+                self._rollback(saved)
+                raise
             set_attributes(
                 mode=mode,
                 reason=decision.reason,
@@ -393,6 +402,38 @@ class OnlineSGLearner:
         return update
 
     # ------------------------------------------------------------------
+    def _checkpoint(self) -> tuple:
+        """The state an update may change, for :meth:`_rollback`.
+
+        Every field is replaced, never mutated in place, by an update, so
+        holding the references is a complete snapshot.
+        """
+        return (
+            self._voltages, self._currents, self._graph, self._scaled_graph,
+            self._scaling_factor, self._candidates, self._pool_edges,
+            self._pool_weights, self._engine, self._embedding,
+            self._refit_sensitivity, self._last_result, self._version,
+            dict(vars(self.drift)), self._engine.stats.refreshes,
+        )
+
+    def _rollback(self, saved: tuple) -> None:
+        """Put back the state of :meth:`_checkpoint` after a failed update.
+
+        The engine's warm state is not copied, so when the failed update
+        already refreshed it, the next update is forced to refit.
+        """
+        (
+            self._voltages, self._currents, self._graph, self._scaled_graph,
+            self._scaling_factor, self._candidates, self._pool_edges,
+            self._pool_weights, self._engine, self._embedding,
+            self._refit_sensitivity, self._last_result, self._version,
+            drift_state, refreshes,
+        ) = saved
+        vars(self.drift).clear()
+        vars(self.drift).update(drift_state)
+        if self._engine.stats.refreshes != refreshes:
+            self.drift.flag_degradation()
+
     def _incremental_pass(
         self, timings: StageTimings
     ) -> tuple[SGLHistory, int, float]:

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import minimum_spanning_tree as csgraph_mst
 
+from repro.graphs.generators import grid_2d
+from repro.graphs.graph import WeightedGraph
 from repro.knn import knn_graph, maximum_spanning_tree, minimum_spanning_tree
+from repro.knn.mst import _spanning_tree_edges
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +85,61 @@ def test_maximum_vs_minimum_spanning_tree(features):
     minimum = minimum_spanning_tree(graph)
     assert maximum.total_weight >= minimum.total_weight
     assert minimum.n_edges == graph.n_nodes - 1
+
+
+def _dict_mapped_tree_edges(graph, *, maximize):
+    """The per-edge dict mapping of tree arcs to edge indices, as a reference."""
+    n = graph.n_nodes
+    sort_weights = -graph.weights if maximize else graph.weights
+    shifted = sp.csr_matrix(
+        (sort_weights - (sort_weights.min() - 1.0), (graph.rows, graph.cols)),
+        shape=(n, n),
+    )
+    tree = csgraph_mst(shifted).tocoo()
+    edge_index = {
+        (int(s), int(t)): idx for idx, (s, t) in enumerate(zip(graph.rows, graph.cols))
+    }
+    return np.asarray(
+        sorted(edge_index[(int(min(s, t)), int(max(s, t)))] for s, t in zip(tree.row, tree.col)),
+        dtype=np.int64,
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("maximize", [True, False])
+def test_spanning_tree_mapping_matches_dict_reference_with_ties(seed, maximize):
+    # Weights drawn from three values, so most of the edges tie and csgraph's
+    # tie-breaking decides the tree; the vectorised mapping must pick exactly
+    # the edges the per-edge dict lookup picks.
+    rng = np.random.default_rng(seed)
+    grid = grid_2d(9, 11)
+    graph = WeightedGraph(
+        grid.n_nodes, grid.rows, grid.cols, rng.choice([0.5, 1.0, 2.0], size=grid.n_edges)
+    )
+    expected = _dict_mapped_tree_edges(graph, maximize=maximize)
+    got = _spanning_tree_edges(graph, maximize=maximize)
+    assert np.array_equal(got, expected)
+    tree = (maximum_spanning_tree if maximize else minimum_spanning_tree)(graph)
+    reference = WeightedGraph(
+        graph.n_nodes, graph.rows[expected], graph.cols[expected], graph.weights[expected]
+    )
+    assert np.array_equal(tree.rows, reference.rows)
+    assert np.array_equal(tree.cols, reference.cols)
+    assert np.array_equal(tree.weights, reference.weights)
+
+
+def test_spanning_tree_mapping_matches_dict_reference_on_knn_graph(features):
+    graph = knn_graph(features, 5, ensure_connected=True)
+    for maximize in (True, False):
+        assert np.array_equal(
+            _spanning_tree_edges(graph, maximize=maximize),
+            _dict_mapped_tree_edges(graph, maximize=maximize),
+        )
+
+
+def test_spanning_forest_of_disconnected_graph():
+    graph = WeightedGraph(6, [0, 1, 0, 3, 4], [1, 2, 2, 4, 5], [1.0, 2.0, 3.0, 2.0, 2.0])
+    forest = maximum_spanning_tree(graph)
+    assert forest.edges.tolist() == [[0, 2], [1, 2], [3, 4], [4, 5]]
+    assert minimum_spanning_tree(graph).edges.tolist() == [[0, 1], [1, 2], [3, 4], [4, 5]]
+    assert maximum_spanning_tree(WeightedGraph(3)).n_edges == 0

@@ -101,6 +101,57 @@ class TestResistanceOracle:
         with pytest.raises(ValueError, match="connected"):
             ResistanceOracle(graph)
 
+    def test_accurate_across_a_wide_weight_range(self):
+        # Learned conductances can span 1e8.  A chain alternating strong
+        # (1e6) and weak (1e-2) edges, closed by weaker off-tree edges:
+        # factorising the tree Laplacian, or subtracting long root
+        # potentials, loses ~1e-8 to 1e-7 relative here.  The answers are
+        # checked against exact rational arithmetic.
+        from fractions import Fraction
+
+        n = 40
+        extra = [(0, 20), (5, 33), (12, 39), (3, 27)]
+        graph = WeightedGraph(
+            n,
+            list(range(n - 1)) + [s for s, _ in extra],
+            list(range(1, n)) + [t for _, t in extra],
+            [1e6 if i % 2 else 1e-2 for i in range(n - 1)] + [1e-3] * len(extra),
+        )
+        pairs = [(1, 2), (10, 11), (20, 21), (7, 30), (2, 3), (33, 34), (0, 39)]
+
+        # Grounded Laplacian (node 0 removed) with one +-1 column per pair,
+        # eliminated exactly.
+        size = n - 1
+        rows = [[Fraction(0)] * (size + len(pairs)) for _ in range(size)]
+        for s, t, w in zip(graph.rows.tolist(), graph.cols.tolist(), graph.weights.tolist()):
+            w = Fraction(w)
+            for a, b in ((s, t), (t, s)):
+                if a:
+                    rows[a - 1][a - 1] += w
+                    if b:
+                        rows[a - 1][b - 1] -= w
+        for col, (s, t) in enumerate(pairs):
+            if s:
+                rows[s - 1][size + col] += 1
+            if t:
+                rows[t - 1][size + col] -= 1
+        for k in range(size):
+            for i in range(k + 1, size):
+                if rows[i][k]:
+                    f = rows[i][k] / rows[k][k]
+                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+        volts = [[Fraction(0)] * len(pairs) for _ in range(n)]
+        for i in range(size - 1, -1, -1):
+            for col in range(len(pairs)):
+                acc = rows[i][size + col] - sum(
+                    rows[i][j] * volts[j + 1][col] for j in range(i + 1, size)
+                )
+                volts[i + 1][col] = acc / rows[i][i]
+        exact = [float(volts[s][c] - volts[t][c]) for c, (s, t) in enumerate(pairs)]
+
+        got = ResistanceOracle(graph).query(pairs)
+        np.testing.assert_allclose(got, exact, rtol=1e-13, atol=0)
+
     def test_eligibility_dense_graph(self):
         dense = WeightedGraph.from_adjacency(
             np.ones((40, 40)) - np.eye(40)
@@ -625,39 +676,38 @@ class TestGraphService:
 class TestServiceConcurrency:
     """The service-path concurrency regression suite (ISSUE 9 satellite)."""
 
-    def test_service_throughput_floor_vs_naive(self, learned, artifact_path):
-        # At fixed concurrency the batched service path must beat per-pair
-        # solves by a comfortable margin; the floor is deliberately loose
-        # (the real gap is >3x) so a loaded CI runner does not flake.
+    def test_service_matches_naive_and_coalesces(self, learned, artifact_path):
+        # The throughput claim (the service path beats per-pair solves) is
+        # timed by the serving benchmark and gated in CI against
+        # BENCH_serving.json; a wall-clock ratio here only measured the
+        # host's load.  What is checked here is the mechanism behind the
+        # claim: concurrent queries get the naive answers, in fewer batches
+        # than queries.
         n = 512
         pairs = sample_node_pairs(learned.graph.n_nodes, n, seed=7)
         session = GraphSession.from_file(artifact_path)
-        naive_start = time.perf_counter()
-        for pair in pairs:
-            effective_resistance(learned.graph, pair[None, :], solver=session.solver)
-        naive_seconds = time.perf_counter() - naive_start
+        naive = np.array([
+            effective_resistance(learned.graph, pair[None, :], solver=session.solver)[0]
+            for pair in pairs
+        ])
 
         service = GraphService(max_batch_size=64, max_delay_s=0.002)
         service.warm(artifact_path)
 
         async def run():
-            start = time.perf_counter()
-            await asyncio.gather(
+            return await asyncio.gather(
                 *(
                     service.query(artifact_path, "resistance", tuple(pair))
                     for pair in pairs
                 )
             )
-            return time.perf_counter() - start
 
-        # Warm once (index/label caches), then measure.
-        asyncio.run(run())
-        service_seconds = asyncio.run(run())
+        answers = np.asarray(asyncio.run(run()), dtype=np.float64)
+        batching = service.stats()["batching"]
         service.close()
-        assert service_seconds < naive_seconds * 0.85, (
-            f"service path ({n / service_seconds:.0f} q/s) is not beating "
-            f"naive per-pair solves ({n / naive_seconds:.0f} q/s)"
-        )
+        np.testing.assert_allclose(answers, naive, rtol=1e-10, atol=0)
+        assert batching["n_requests"] == n
+        assert batching["n_batches"] < n
 
     def test_loader_pool_does_not_starve_compute(
         self, learned, artifact_path, tmp_path, monkeypatch

