@@ -194,6 +194,25 @@ class DriftDetector:
         self._updates_since_refit = 0
         self._degraded = False
 
+    _STATE = (
+        "_basis", "_baseline_novelty", "_reference_energy", "_laplacian",
+        "_baseline_residual", "_updates_since_refit", "_degraded",
+    )
+
+    def snapshot(self) -> tuple:
+        """The calibration and counters, for :meth:`restore`.
+
+        :meth:`reset` and :meth:`assess` replace these fields and never
+        change one in place (the basis and Laplacian are rebuilt, not
+        updated), so holding the references is a complete snapshot.
+        """
+        return tuple(getattr(self, name) for name in self._STATE)
+
+    def restore(self, state: tuple) -> None:
+        """Put back the state of a :meth:`snapshot` (a failed update's undo)."""
+        for name, value in zip(self._STATE, state, strict=True):
+            setattr(self, name, value)
+
     def flag_degradation(self) -> None:
         """Force a refit on the next :meth:`assess` (objective degradation)."""
         self._degraded = True

@@ -413,7 +413,7 @@ class OnlineSGLearner:
             self._scaling_factor, self._candidates, self._pool_edges,
             self._pool_weights, self._engine, self._embedding,
             self._refit_sensitivity, self._last_result, self._version,
-            dict(vars(self.drift)), self._engine.stats.refreshes,
+            self.drift.snapshot(), self._engine.stats.refreshes,
         )
 
     def _rollback(self, saved: tuple) -> None:
@@ -429,8 +429,7 @@ class OnlineSGLearner:
             self._refit_sensitivity, self._last_result, self._version,
             drift_state, refreshes,
         ) = saved
-        vars(self.drift).clear()
-        vars(self.drift).update(drift_state)
+        self.drift.restore(drift_state)
         if self._engine.stats.refreshes != refreshes:
             self.drift.flag_degradation()
 

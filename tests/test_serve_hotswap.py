@@ -56,6 +56,7 @@ class TestStaleSessionInvalidation:
         assert second.checksum != first.checksum
         assert second.graph == model_b.graph
         # The orphaned stale session is dropped, not leaked.
+        assert service.stats()["sessions"]["loaded"] == 1
         assert service.stats()["metrics"]["counters"]["serve.cache.invalidations"] >= 1
         service.close()
 
@@ -66,6 +67,7 @@ class TestStaleSessionInvalidation:
         service = GraphService()
         service.warm(a)
         service.warm(b)  # same checksum: shared session
+        assert service.stats()["sessions"]["loaded"] == 1
 
         save_result(model_b, a)
         service.warm(a)

@@ -131,6 +131,22 @@ class TestDriftDetector:
         decision = detector.assess(batch)
         assert decision.refit and decision.reason == "cadence"
 
+    def test_snapshot_restore_undoes_assess_and_reset(self):
+        _, window = self.reference("additive")
+        detector = DriftDetector(max_updates_between_refits=2)
+        detector.reset(window.voltages)
+        batch = window.voltages[:, :8]
+        detector.assess(batch)
+        state = detector.snapshot()
+        expected = detector.assess(batch)
+        detector.reset(window.voltages[:, 8:])
+        detector.flag_degradation()
+        detector.restore(state)
+        assert detector.updates_since_refit == 1
+        again = detector.assess(batch)
+        assert (again.reason, again.novelty) == (expected.reason, expected.novelty)
+        assert detector.assess(batch).reason == "cadence"
+
     def test_degradation_latch(self):
         _, window = self.reference("additive")
         detector = DriftDetector()
