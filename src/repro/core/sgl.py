@@ -19,6 +19,10 @@ coarsen-solve-refine :class:`~repro.embedding.MultilevelEmbeddingEngine`
 (the paper's near-linear-time path, fastest at paper scale), and
 ``"stateless"`` restores the old recompute-every-iteration behaviour.
 
+Steps 2-4 are written once, as :func:`densify` over a :class:`DensifyState`;
+the online learner's incremental pass and the sharded stitch run the same
+loop.
+
 The result is an ultra-sparse resistor network (density slightly above one)
 whose spectral-embedding / effective-resistance distances encode the measured
 voltage distances.
@@ -26,7 +30,6 @@ voltage distances.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,7 +44,7 @@ from repro.core.scaling import spectral_edge_scaling
 from repro.core.sensitivity import edge_sensitivities
 from repro.embedding.engine import EmbeddingEngine
 from repro.embedding.multilevel_engine import MultilevelEmbeddingEngine
-from repro.embedding.spectral import spectral_embedding_matrix
+from repro.embedding.spectral import SpectralEmbedding, StatelessEmbeddingEngine
 from repro.graphs.graph import WeightedGraph
 from repro.knn.knn_graph import knn_graph
 from repro.knn.mst import maximum_spanning_tree
@@ -49,7 +52,7 @@ from repro.linalg.threads import single_threaded_blas
 from repro.measurements.generator import MeasurementSet
 from repro.measurements.validation import check_measurements
 
-__all__ = ["SGLearner", "SGLResult", "learn_graph"]
+__all__ = ["DensifyState", "SGLearner", "SGLResult", "densify", "learn_graph", "make_engine"]
 
 
 @dataclass(frozen=True)
@@ -126,6 +129,167 @@ class SGLResult:
     def density(self) -> float:
         """Density ``|E|/|V|`` of the learned graph."""
         return self.graph.density
+
+
+def make_engine(
+    config: SGLConfig,
+) -> EmbeddingEngine | MultilevelEmbeddingEngine | StatelessEmbeddingEngine:
+    """The Step-2 engine ``config.embedding_engine`` names, built from ``config``.
+
+    The batch fit and the online learner both build their engine here.
+    """
+    if config.embedding_engine == "multilevel":
+        return MultilevelEmbeddingEngine(
+            config.r,
+            sigma_sq=config.sigma_sq,
+            coarse_size=config.multilevel_coarse_size,
+            churn_threshold=config.multilevel_churn_threshold,
+            refinement=config.refinement_backend,
+            refine_dtype=config.refine_dtype,
+            linalg_backend=config.linalg_backend,
+            seed=config.seed,
+        )
+    engine = EmbeddingEngine if config.embedding_engine == "incremental" else StatelessEmbeddingEngine
+    return engine(
+        config.r,
+        sigma_sq=config.sigma_sq,
+        method=config.eigensolver,
+        seed=config.seed,
+        multilevel_coarse_size=config.multilevel_coarse_size,
+    )
+
+
+@dataclass
+class DensifyState:
+    """What the densification loop (:func:`densify`) works on.
+
+    Attributes
+    ----------
+    graph:
+        The working (unscaled) graph.
+    pool_edges, pool_weights:
+        The candidate edges not yet in ``graph``, with their Step-1 weights.
+    engine:
+        The Step-2 engine; anything with ``refresh(graph, added_edges, *,
+        timings)`` (see :func:`make_engine`).
+    embedding:
+        The engine's last embedding (``None`` before the first refresh).
+    pending:
+        The edges added since ``embedding`` was computed; ``None`` when it
+        is current.
+    """
+
+    graph: WeightedGraph
+    pool_edges: np.ndarray
+    pool_weights: np.ndarray
+    engine: EmbeddingEngine | MultilevelEmbeddingEngine | StatelessEmbeddingEngine
+    embedding: SpectralEmbedding | None = None
+    pending: np.ndarray | None = None
+
+    @classmethod
+    def from_candidates(cls, graph: WeightedGraph, candidates: WeightedGraph, engine) -> DensifyState:
+        """The state whose pool is every edge of ``candidates`` not in ``graph``."""
+        missing = ~graph.has_edges(candidates.edges)
+        return cls(graph, candidates.edges[missing], candidates.weights[missing].copy(), engine)
+
+    def refresh(self, timings: StageTimings) -> SpectralEmbedding:
+        """Bring ``embedding`` up to date with ``graph`` (Step 2)."""
+        if self.embedding is None or self.pending is not None:
+            self.embedding = self.engine.refresh(self.graph, self.pending, timings=timings)
+            self.pending = None
+        return self.embedding
+
+    def add(self, chosen: np.ndarray) -> None:
+        """Move the pool entries ``chosen`` into the graph (Step 4).
+
+        Call it only with a current embedding, as :func:`densify` does.
+        """
+        if chosen.size == 0:
+            return
+        edges = self.pool_edges[chosen]
+        self.graph = self.graph.add_edges(edges, self.pool_weights[chosen])
+        keep = np.ones(self.pool_edges.shape[0], dtype=bool)
+        keep[chosen] = False
+        self.pool_edges = self.pool_edges[keep]
+        self.pool_weights = self.pool_weights[keep]
+        self.pending = edges
+
+
+def densify(
+    state: DensifyState,
+    voltages: np.ndarray,
+    config: SGLConfig,
+    *,
+    max_iterations: int,
+    timings: StageTimings,
+) -> tuple[SGLHistory, bool]:
+    """Steps 2-4 of Algorithm 1: embed, rank the pool, add the top edges, repeat.
+
+    Runs on ``state`` in place for at most ``max_iterations`` iterations and
+    returns their history, plus whether the loop converged: it ran out of
+    candidates or of edges above ``config.tol``, rather than of iterations.
+    The embedding is refreshed lazily at the top of an iteration, so on
+    return ``state.pending`` holds the edges the last iteration added; call
+    :meth:`DensifyState.refresh` for an embedding of the final graph.
+
+    The batch fit, the online learner's incremental pass and the sharded
+    stitch all run this loop.
+    """
+    history = SGLHistory()
+    batch_size = config.edges_per_iteration(state.graph.n_nodes)
+    for iteration in range(max_iterations):
+        if state.pool_edges.shape[0] == 0:
+            return history, True
+        with obs_span(
+            "iteration",
+            iteration=iteration,
+            n_edges=state.graph.n_edges,
+            n_candidates=int(state.pool_edges.shape[0]),
+        ):
+            embedding = state.refresh(timings)
+            with timings.stage("sensitivity"):
+                sensitivities = edge_sensitivities(
+                    embedding,
+                    voltages,
+                    state.pool_edges,
+                    n_samples=config.sensitivity_samples,
+                    seed=config.seed,
+                )
+            max_sensitivity = float(sensitivities.max())
+
+            objective = None
+            if config.track_objective:
+                with timings.stage("objective"):
+                    objective = graphical_lasso_objective(
+                        state.graph,
+                        voltages,
+                        sigma_sq=config.sigma_sq,
+                        n_eigenvalues=config.objective_eigenvalues,
+                        seed=config.seed,
+                    )
+
+            # Step 3: add the top-ranked influential edges.
+            n_added = 0
+            if max_sensitivity >= config.tol:
+                with timings.stage("edge_selection"):
+                    order = np.argsort(sensitivities)[::-1][:batch_size]
+                    chosen = order[sensitivities[order] > config.tol]
+                    state.add(chosen)
+                n_added = int(chosen.size)
+
+            history.append(
+                IterationRecord(
+                    iteration=iteration,
+                    max_sensitivity=max_sensitivity,
+                    n_edges=state.graph.n_edges,
+                    n_edges_added=n_added,
+                    objective=objective,
+                )
+            )
+            set_attributes(max_sensitivity=max_sensitivity, n_edges_added=n_added)
+        if n_added == 0:
+            return history, True
+    return history, False
 
 
 class SGLearner:
@@ -232,6 +396,23 @@ class SGLearner:
             overflows, or a zero-energy voltage column driven by a nonzero
             current (:func:`repro.measurements.check_measurements`).
         """
+        return self._fit(
+            measurements, currents, timings=timings, checkpoint_path=checkpoint_path
+        )[0]
+
+    def _fit(
+        self,
+        measurements: MeasurementSet | np.ndarray,
+        currents: np.ndarray | None = None,
+        *,
+        timings: StageTimings | None = None,
+        checkpoint_path: str | Path | None = None,
+    ) -> tuple[SGLResult, DensifyState]:
+        """:meth:`fit`, also returning the loop's final :class:`DensifyState`.
+
+        The online learner adopts that state (engine and last embedding)
+        instead of building a second engine after a refit.
+        """
         if isinstance(measurements, MeasurementSet):
             voltages = measurements.voltages
             currents = measurements.currents
@@ -264,13 +445,13 @@ class SGLearner:
             knn_backend=config.knn_backend,
         ):
             with single_threaded_blas():
-                result = self._fit_body(voltages, currents, timings, checkpoint_path)
+                result, state = self._fit_body(voltages, currents, timings, checkpoint_path)
             set_attributes(
                 converged=result.converged,
                 n_iterations=result.n_iterations,
                 n_edges_learned=result.graph.n_edges,
             )
-        return result
+        return result, state
 
     def _fit_body(
         self,
@@ -278,159 +459,19 @@ class SGLearner:
         currents: np.ndarray | None,
         timings: StageTimings,
         checkpoint_path: str | Path | None,
-    ) -> SGLResult:
+    ) -> tuple[SGLResult, DensifyState]:
         """The body of :meth:`fit`, run under the ``sgl.fit`` root span."""
         config = self.config
-        n_nodes = voltages.shape[0]
-
         candidates, graph = self._initial_graphs(voltages, timings)
         initial_graph = graph.copy()
-
-        # Candidate pool: off-tree edges of the kNN graph, with the paper's
-        # M / ||x_s - x_t||^2 weights precomputed once.
+        engine = make_engine(config)
         with timings.stage("candidate_pool"):
-            pool_mask = ~graph.has_edges(candidates.edges)
-            pool_edges = candidates.edges[pool_mask]
-            pool_weights = candidates.weights[pool_mask].copy()
+            state = DensifyState.from_candidates(graph, candidates, engine)
+        history, converged = densify(
+            state, voltages, config, max_iterations=config.max_iterations, timings=timings
+        )
 
-        history = SGLHistory()
-        converged = False
-        batch_size = config.edges_per_iteration(n_nodes)
-
-        engine: EmbeddingEngine | MultilevelEmbeddingEngine | None = None
-        if config.embedding_engine == "incremental":
-            engine = EmbeddingEngine(
-                config.r,
-                sigma_sq=config.sigma_sq,
-                method=config.eigensolver,
-                seed=config.seed,
-                multilevel_coarse_size=config.multilevel_coarse_size,
-            )
-        elif config.embedding_engine == "multilevel":
-            engine = MultilevelEmbeddingEngine(
-                config.r,
-                sigma_sq=config.sigma_sq,
-                coarse_size=config.multilevel_coarse_size,
-                churn_threshold=config.multilevel_churn_threshold,
-                refinement=config.refinement_backend,
-                refine_dtype=config.refine_dtype,
-                linalg_backend=config.linalg_backend,
-                seed=config.seed,
-            )
-        added_edges: np.ndarray | None = None
-
-        for iteration in range(config.max_iterations):
-            if pool_edges.shape[0] == 0:
-                converged = True
-                break
-            with obs_span(
-                "iteration",
-                iteration=iteration,
-                n_edges=graph.n_edges,
-                n_candidates=int(pool_edges.shape[0]),
-            ):
-                if isinstance(engine, MultilevelEmbeddingEngine):
-                    # The engine times its own phases into "coarsen" /
-                    # "refine" (and tags the spans with its V-cycle state).
-                    embedding = engine.refresh(graph, added_edges, timings=timings)
-                elif engine is not None:
-                    # Warm refreshes land in "embedding_warm"; cold solves
-                    # and fallbacks stay in "embedding" so the stages stay
-                    # comparable with the stateless path.  The stage name is
-                    # only known after the refresh, hence add_interval.
-                    start = time.perf_counter()
-                    embedding = engine.refresh(graph, added_edges)
-                    end = time.perf_counter()
-                    stage = (
-                        "embedding_warm"
-                        if engine.last_mode in ("warm-rr", "warm-inverse")
-                        else "embedding"
-                    )
-                    timings.add_interval(
-                        stage,
-                        start,
-                        end,
-                        mode=engine.last_mode,
-                        fallbacks=engine.stats.fallbacks,
-                        factorizations=engine.stats.factorizations,
-                    )
-                else:
-                    with timings.stage("embedding", method=config.eigensolver):
-                        embedding = spectral_embedding_matrix(
-                            graph,
-                            config.r,
-                            sigma_sq=config.sigma_sq,
-                            method=config.eigensolver,
-                            seed=config.seed,
-                            multilevel_coarse_size=config.multilevel_coarse_size,
-                        )
-                with timings.stage("sensitivity"):
-                    sensitivities = edge_sensitivities(
-                        embedding,
-                        voltages,
-                        pool_edges,
-                        n_samples=config.sensitivity_samples,
-                        seed=config.seed,
-                    )
-                max_sensitivity = float(sensitivities.max())
-
-                objective = None
-                if config.track_objective:
-                    with timings.stage("objective"):
-                        objective = graphical_lasso_objective(
-                            graph,
-                            voltages,
-                            sigma_sq=config.sigma_sq,
-                            n_eigenvalues=config.objective_eigenvalues,
-                            seed=config.seed,
-                        )
-
-                if max_sensitivity < config.tol:
-                    history.append(
-                        IterationRecord(
-                            iteration=iteration,
-                            max_sensitivity=max_sensitivity,
-                            n_edges=graph.n_edges,
-                            n_edges_added=0,
-                            objective=objective,
-                        )
-                    )
-                    converged = True
-                    set_attributes(max_sensitivity=max_sensitivity, n_edges_added=0)
-                    break
-
-                # Step 3: add the top-ranked influential edges.
-                with timings.stage("edge_selection"):
-                    order = np.argsort(sensitivities)[::-1][:batch_size]
-                    chosen = order[sensitivities[order] > config.tol]
-                    add_edges = pool_edges[chosen]
-                    add_weights = pool_weights[chosen]
-                    graph = graph.add_edges(add_edges, add_weights)
-                    added_edges = add_edges
-
-                    keep = np.ones(pool_edges.shape[0], dtype=bool)
-                    keep[chosen] = False
-                    pool_edges = pool_edges[keep]
-                    pool_weights = pool_weights[keep]
-
-                history.append(
-                    IterationRecord(
-                        iteration=iteration,
-                        max_sensitivity=max_sensitivity,
-                        n_edges=graph.n_edges,
-                        n_edges_added=int(chosen.size),
-                        objective=objective,
-                    )
-                )
-                set_attributes(
-                    max_sensitivity=max_sensitivity,
-                    n_edges_added=int(chosen.size),
-                )
-                if chosen.size == 0:
-                    converged = True
-                    break
-
-        unscaled = graph
+        unscaled = graph = state.graph
         scaling_factor = 1.0
         if config.edge_scaling and currents is not None:
             with timings.stage("edge_scaling"):
@@ -446,7 +487,7 @@ class SGLearner:
             scaling_factor=scaling_factor,
             config=config,
             timings=timings,
-            engine_stats=engine.stats.as_dict() if engine is not None else None,
+            engine_stats=None if engine.stats is None else engine.stats.as_dict(),
         )
         if checkpoint_path is not None:
             # Local import: repro.artifacts depends on this module's types.
@@ -454,7 +495,7 @@ class SGLearner:
 
             with timings.stage("checkpoint"):
                 save_result(result, checkpoint_path)
-        return result
+        return result, state
 
 
 def learn_graph(

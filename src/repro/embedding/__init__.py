@@ -1,11 +1,12 @@
 """Spectral graph embedding, drawing and clustering.
 
 Step 2 of SGL embeds graph nodes with the first ``r - 1`` nontrivial Laplacian
-eigenvectors scaled by ``1 / sqrt(lambda_i + 1/sigma^2)`` (Eq. 12).  Two entry
+eigenvectors scaled by ``1 / sqrt(lambda_i + 1/sigma^2)`` (Eq. 12).  Three entry
 points compute that embedding:
 
 * :func:`spectral_embedding_matrix` -- stateless, solves the eigenproblem
-  from scratch on every call;
+  from scratch on every call (:class:`StatelessEmbeddingEngine` wraps it in
+  the engines' ``refresh`` interface);
 * :class:`EmbeddingEngine` -- stateful and warm-started, reusing the previous
   call's eigenvectors to refresh the embedding of an incrementally densified
   graph in a few iterations (the default inside the SGL learner's loop);
@@ -21,6 +22,7 @@ clustering for node colouring [15].
 
 from repro.embedding.spectral import (
     SpectralEmbedding,
+    StatelessEmbeddingEngine,
     embedding_from_eigenpairs,
     spectral_embedding_matrix,
 )
@@ -39,6 +41,7 @@ __all__ = [
     "EngineStats",
     "MultilevelEmbeddingEngine",
     "MultilevelEngineStats",
+    "StatelessEmbeddingEngine",
     "embedding_from_eigenpairs",
     "spectral_embedding_matrix",
     "spectral_layout",

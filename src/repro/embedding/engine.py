@@ -40,6 +40,7 @@ embeds in ``BENCH_<tag>.json`` artifacts.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Literal
 
@@ -537,6 +538,8 @@ class EmbeddingEngine:
         self,
         graph: WeightedGraph,
         added_edges: np.ndarray | None = None,
+        *,
+        timings=None,
     ) -> SpectralEmbedding:
         """Return the spectral embedding of ``graph``, reusing warm state.
 
@@ -551,6 +554,11 @@ class EmbeddingEngine:
             refresh, recorded for bookkeeping.  The warm path does not trust
             it for correctness: the incremental solver diffs the Laplacians
             itself, so removals and weight changes are absorbed exactly too.
+        timings:
+            Optional :class:`~repro.core.instrumentation.StageTimings`.  A
+            warm refresh is recorded as an ``embedding_warm`` stage; cold
+            solves and fallbacks as ``embedding``, the stage the stateless
+            path records, so the two stay comparable.
 
         Returns
         -------
@@ -564,6 +572,7 @@ class EmbeddingEngine:
         if k < 1:
             raise ValueError("graph too small to embed (need at least two nodes)")
         k_work = min(k + self.guard_vectors, n - 1)
+        start = time.perf_counter()
 
         warm_possible = (
             not self._warm_disabled
@@ -615,4 +624,11 @@ class EmbeddingEngine:
         self._values = values
         self._vectors = vectors
         self._n_nodes = n
-        return embedding_from_eigenpairs(values[:k], vectors[:, :k], self.sigma_sq)
+        embedding = embedding_from_eigenpairs(values[:k], vectors[:, :k], self.sigma_sq)
+        if timings is not None:
+            # The stage name is only known after the refresh, hence add_interval.
+            stage = "embedding_warm" if mode in ("warm-rr", "warm-inverse") else "embedding"
+            timings.add_interval(stage, start, time.perf_counter(), mode=mode,
+                                 fallbacks=self.stats.fallbacks,
+                                 factorizations=self.stats.factorizations)
+        return embedding

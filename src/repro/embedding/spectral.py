@@ -15,6 +15,9 @@ solves the eigenproblem from scratch.  The SGL densification loop, which
 re-embeds an only-slightly-changed graph every iteration, uses the stateful
 warm-started :class:`~repro.embedding.engine.EmbeddingEngine` instead and
 only falls back to this function for cold solves.
+:class:`StatelessEmbeddingEngine` puts this function behind the engine
+interface (``refresh(graph, added_edges, *, timings)``) that the loop
+drives, for ``embedding_engine="stateless"`` and for the sharded stitch.
 """
 
 from __future__ import annotations
@@ -28,7 +31,12 @@ from repro.graphs.graph import WeightedGraph
 from repro.linalg.eigen import laplacian_eigenpairs
 from repro.linalg.multilevel import MultilevelEigensolver
 
-__all__ = ["SpectralEmbedding", "embedding_from_eigenpairs", "spectral_embedding_matrix"]
+__all__ = [
+    "SpectralEmbedding",
+    "StatelessEmbeddingEngine",
+    "embedding_from_eigenpairs",
+    "spectral_embedding_matrix",
+]
 
 
 @dataclass(frozen=True)
@@ -164,3 +172,33 @@ def spectral_embedding_matrix(
             graph, k, method=method, drop_trivial=True, seed=seed
         )
     return embedding_from_eigenpairs(values, vectors, sigma_sq)
+
+
+class StatelessEmbeddingEngine:
+    """Step-2 engine that embeds cold on every refresh and keeps no state.
+
+    ``options`` are :func:`spectral_embedding_matrix`'s keywords.  The class
+    gives the stateless path the stateful engines' ``refresh`` interface, so
+    the densification loop drives every engine alike; ``stats`` is ``None``,
+    as there is nothing to count.
+
+    >>> from repro.graphs.generators import grid_2d
+    >>> StatelessEmbeddingEngine(r=3).refresh(grid_2d(5, 5)).dimension
+    2
+    """
+
+    stats = None
+
+    def __init__(self, r: int = 5, **options) -> None:
+        self.r = int(r)
+        self.options = options
+
+    def refresh(self, graph: WeightedGraph, added_edges=None, *, timings=None) -> SpectralEmbedding:
+        """Embed ``graph`` from scratch (``added_edges`` is ignored).
+
+        With ``timings``, the solve is recorded as one ``embedding`` stage.
+        """
+        if timings is None:
+            return spectral_embedding_matrix(graph, self.r, **self.options)
+        with timings.stage("embedding", method=self.options.get("method", "auto")):
+            return spectral_embedding_matrix(graph, self.r, **self.options)

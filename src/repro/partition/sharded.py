@@ -52,9 +52,7 @@ import numpy as np
 from repro.core.config import SGLConfig
 from repro.core.instrumentation import StageTimings
 from repro.core.scaling import spectral_edge_scaling
-from repro.core.sensitivity import edge_sensitivities
-from repro.core.sgl import SGLearner, SGLResult
-from repro.embedding.spectral import spectral_embedding_matrix
+from repro.core.sgl import DensifyState, SGLearner, SGLResult, densify, make_engine
 from repro.graphs.graph import WeightedGraph
 from repro.knn.knn_graph import knn_graph
 from repro.knn.mst import maximum_spanning_tree
@@ -408,8 +406,6 @@ class ShardedSGLearner:
             np.concatenate(weights) if weights else np.empty(0),
         )
 
-        cand_edges = np.column_stack([candidates.rows, candidates.cols])
-        cand_weights = candidates.weights
         if partition.n_parts == 1:
             # Nothing was severed: the single "shard" fit *is* the serial
             # fit, and skipping the repair stages keeps it bit-compatible.
@@ -421,12 +417,7 @@ class ShardedSGLearner:
                 "components_before_stitch": 1,
             }
 
-        key_cand = candidates.rows * np.int64(n_nodes) + candidates.cols
         key_stitched = stitched.rows * np.int64(n_nodes) + stitched.cols
-        # Candidate edges already realised by some shard's fit (shards can
-        # also learn non-candidate edges — connectivity repairs — which
-        # simply stay in the union).
-        present = np.isin(key_cand, key_stitched)
         n_comp = partition.n_parts
 
         # (a) Reconnect the way Algorithm 1's Step 2 would have: admit
@@ -442,55 +433,50 @@ class ShardedSGLearner:
             np.column_stack([tree.rows[missing], tree.cols[missing]]),
             tree.weights[missing],
         )
-        present |= np.isin(key_cand, key_tree)
         tree_cross = assignment[tree.rows] != assignment[tree.cols]
         n_connectors = int(tree_cross.sum())
 
         # (b) Correct: bounded global sensitivity sweeps over every
         # candidate edge the stitched graph is still missing — the
         # cross-boundary edges *and* the interior edges a shard-local
-        # embedding ranked differently than the global one would have
-        # (Step 3 of Algorithm 1, evaluated globally).
+        # embedding ranked differently than the global one would have.
+        # These are iterations of Algorithm 1's loop, evaluated globally.
+        # Every sweep embeds cold (the stateless engine): the first sweep
+        # is cold for any engine, there are only ``stitch_sweeps`` of them,
+        # and a warm engine would keep a factorisation of the whole global
+        # Laplacian alive between them, the memory sharding exists to save.
         method = (
             "multilevel"
             if config.embedding_engine == "multilevel"
             else config.eigensolver
         )
-        batch = config.edges_per_iteration(n_nodes)
-        added_per_sweep: list[int] = []
-        for _ in range(self.stitch_sweeps):
-            remaining = np.where(~present)[0]
-            if remaining.size == 0:
-                break
-            embedding = spectral_embedding_matrix(
-                stitched,
-                config.r,
-                sigma_sq=config.sigma_sq,
-                method=method,
-                seed=config.seed,
-                multilevel_coarse_size=config.multilevel_coarse_size,
-            )
-            sensitivities = edge_sensitivities(
-                embedding, voltages, cand_edges[remaining]
-            )
-            order = np.argsort(sensitivities)[::-1][:batch]
-            chosen = order[sensitivities[order] > config.tol]
-            if chosen.size == 0:
-                added_per_sweep.append(0)
-                break
-            selected = remaining[chosen]
-            stitched = stitched.add_edges(
-                cand_edges[selected], cand_weights[selected]
-            )
-            present[selected] = True
-            added_per_sweep.append(int(chosen.size))
+        engine = make_engine(
+            dataclasses.replace(config, embedding_engine="stateless", eigensolver=method)
+        )
+        # The pool is every candidate edge the stitched graph still lacks
+        # (shards can also learn non-candidate edges — connectivity
+        # repairs — which simply stay in the union).
+        state = DensifyState.from_candidates(stitched, candidates, engine)
+        # The caller records the whole stitch as one stage, so the sweeps'
+        # own stages go to a scratch accumulator and the stage totals still
+        # sum to the wall time.
+        history, _ = densify(
+            state,
+            voltages,
+            config,
+            max_iterations=self.stitch_sweeps,
+            timings=StageTimings(),
+        )
+        stitched = state.graph
 
         crossing = assignment[candidates.rows] != assignment[candidates.cols]
+        pool = state.pool_edges
+        missing_cut = int((assignment[pool[:, 0]] != assignment[pool[:, 1]]).sum())
         stats = {
             "n_cut_candidates": int(crossing.sum()),
             "connector_edges": n_connectors,
-            "correction_edges": added_per_sweep,
-            "cut_edges_admitted": int((present & crossing).sum()),
+            "correction_edges": history.edges_added.tolist(),
+            "cut_edges_admitted": int(crossing.sum()) - missing_cut,
             "components_before_stitch": int(n_comp),
         }
         return stitched, stats

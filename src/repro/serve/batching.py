@@ -58,7 +58,6 @@ import asyncio
 import contextvars
 import os
 import time
-import warnings
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Sequence
@@ -120,18 +119,6 @@ class BatchStats:
     metrics: MetricsRegistry | None = field(
         default=None, repr=False, compare=False
     )
-
-    @property
-    def latencies(self) -> list[float]:
-        """Deprecated: per-sample latency storage was replaced by the
-        ``batcher.latency_ms`` histogram on :attr:`metrics`."""
-        warnings.warn(
-            "BatchStats.latencies is deprecated; read the 'batcher.latency_ms' "
-            "histogram from BatchStats.metrics instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return []
 
     @property
     def mean_batch_size(self) -> float:
@@ -234,9 +221,6 @@ class MicroBatcher:
         given, per-label histogram copies (``batcher.<label>.*``) are
         recorded alongside the aggregate ones, so e.g. ``resistance`` and
         ``labels`` latencies stay distinguishable.
-    max_recorded_latencies:
-        Deprecated and ignored — latencies feed a fixed-bucket histogram
-        with O(1) memory, so there is nothing left to cap.
 
     Examples
     --------
@@ -264,19 +248,11 @@ class MicroBatcher:
         adaptive: bool = True,
         metrics: MetricsRegistry | None = None,
         key_label: Callable[[Hashable], str] | None = None,
-        max_recorded_latencies: int | None = None,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be at least 1")
         if max_delay_s < 0:
             raise ValueError("max_delay_s must be non-negative")
-        if max_recorded_latencies is not None:
-            warnings.warn(
-                "max_recorded_latencies is deprecated and ignored; latencies "
-                "feed a bounded-memory histogram on MicroBatcher.metrics",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if concurrency is None:
             # ThreadPoolExecutor exposes its width; the loop's default pool
             # (executor=None) uses the stdlib sizing rule.

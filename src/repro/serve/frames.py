@@ -11,7 +11,7 @@ alternative that :func:`repro.serve.serve_forever` speaks on the same port:
     ------  ----  -----------------------------------------------
     0       2     magic  b"RB"
     2       1     version (currently 1)
-    3       1     meta encoding: 0 = JSON (utf-8), 1 = msgpack
+    3       1     meta encoding: 0 = JSON (utf-8), the only one
     4       4     meta length   (big-endian u32)
     8       4     body length   (big-endian u32)
     12      ...   meta bytes  (request/response object)
@@ -23,10 +23,9 @@ just framed.  Responses carrying an array result describe it in the meta
 the body as the array's raw buffer — written to the transport as a
 :class:`memoryview`, no per-value boxing, no text encoding.
 
-msgpack is optional: encoding byte 1 is accepted/produced only when the
-``msgpack`` package is importable (it is not a dependency of this repo);
-encoding 0 always works, so the frame format degrades gracefully to
-JSON-metadata-plus-binary-body.
+The meta is always JSON: the encoding byte is kept so the header layout
+stays fixed, and a frame carrying any other value is rejected with
+:class:`FrameError`.
 
 Examples
 --------
@@ -44,14 +43,8 @@ import struct
 
 import numpy as np
 
-try:  # msgpack is optional — encoding byte 1 is gated on it.
-    import msgpack  # type: ignore
-except ImportError:  # pragma: no cover - depends on environment
-    msgpack = None
-
 __all__ = [
     "ENCODING_JSON",
-    "ENCODING_MSGPACK",
     "FRAME_MAGIC",
     "FRAME_VERSION",
     "FrameError",
@@ -65,7 +58,6 @@ __all__ = [
 FRAME_MAGIC = b"RB"
 FRAME_VERSION = 1
 ENCODING_JSON = 0
-ENCODING_MSGPACK = 1
 
 _HEADER = struct.Struct(">2sBBII")  # magic, version, encoding, meta len, body len
 
@@ -78,24 +70,12 @@ class FrameError(ValueError):
     """A malformed, unsupported, or oversized frame."""
 
 
-def _dump_meta(meta: dict, encoding: int) -> bytes:
-    if encoding == ENCODING_MSGPACK:
-        if msgpack is None:
-            raise FrameError("msgpack encoding requested but msgpack is not installed")
-        return msgpack.packb(meta, use_bin_type=True)
-    if encoding == ENCODING_JSON:
-        return json.dumps(meta, separators=(",", ":")).encode("utf-8")
-    raise FrameError(f"unknown meta encoding {encoding!r}")
-
-
 def _load_meta(blob: bytes, encoding: int):
-    if encoding == ENCODING_MSGPACK:
-        if msgpack is None:
-            raise FrameError("frame uses msgpack but msgpack is not installed")
-        return msgpack.unpackb(blob, raw=False)
-    if encoding == ENCODING_JSON:
-        return json.loads(blob)
-    raise FrameError(f"unknown meta encoding {encoding!r}")
+    # Checked only once the segments are read, so a stream stays in step
+    # with its frames after rejecting one.
+    if encoding != ENCODING_JSON:
+        raise FrameError(f"unknown meta encoding {encoding!r} (0, JSON, is the only one)")
+    return json.loads(blob)
 
 
 def _array_body(meta: dict, array: np.ndarray) -> memoryview:
@@ -122,30 +102,24 @@ def _rebuild_array(meta: dict, body: bytes) -> np.ndarray | None:
         raise FrameError(f"frame body does not match array spec: {exc}") from exc
 
 
-def default_encoding() -> int:
-    """The best meta encoding this process can produce."""
-    return ENCODING_MSGPACK if msgpack is not None else ENCODING_JSON
+def _frame_parts(meta: dict, array: np.ndarray | None) -> tuple[bytes, bytes, bytes | memoryview]:
+    """The header, meta and body segments of one frame."""
+    meta = dict(meta)
+    body = _array_body(meta, array) if array is not None else b""
+    blob = json.dumps(meta, separators=(",", ":")).encode("utf-8")
+    header = _HEADER.pack(FRAME_MAGIC, FRAME_VERSION, ENCODING_JSON, len(blob), len(body))
+    return header, blob, body
 
 
 # ----------------------------------------------------------------------
 # Byte-level codec (synchronous; used by clients and tests)
 # ----------------------------------------------------------------------
-def encode_frame(
-    meta: dict, *, array: np.ndarray | None = None, encoding: int | None = None
-) -> bytes:
+def encode_frame(meta: dict, *, array: np.ndarray | None = None) -> bytes:
     """Serialise one frame to bytes.
 
-    ``encoding`` selects the *meta* encoding (:data:`ENCODING_JSON` /
-    :data:`ENCODING_MSGPACK`); ``None`` picks msgpack when available.  The
-    array, if any, always travels as its raw buffer.
+    The meta travels as JSON; the array, if any, as its raw buffer.
     """
-    if encoding is None:
-        encoding = default_encoding()
-    meta = dict(meta)
-    body = _array_body(meta, array) if array is not None else b""
-    blob = _dump_meta(meta, encoding)
-    header = _HEADER.pack(FRAME_MAGIC, FRAME_VERSION, encoding, len(blob), len(body))
-    return b"".join((header, blob, body))
+    return b"".join(_frame_parts(meta, array))
 
 
 def decode_frame(buffer: bytes | memoryview):
@@ -182,26 +156,14 @@ def _check_header(magic: bytes, version: int, meta_len: int, body_len: int) -> N
 # ----------------------------------------------------------------------
 # Stream-level codec (asyncio server/client)
 # ----------------------------------------------------------------------
-def write_frame(
-    writer,
-    meta: dict,
-    *,
-    array: np.ndarray | None = None,
-    encoding: int | None = None,
-) -> None:
+def write_frame(writer, meta: dict, *, array: np.ndarray | None = None) -> None:
     """Write one frame to an :class:`asyncio.StreamWriter` (no drain).
 
     The array body is handed to the transport as a :class:`memoryview` of
     the numpy buffer — zero-copy on the Python side.
     """
-    if encoding is None:
-        encoding = default_encoding()
-    meta = dict(meta)
-    body = _array_body(meta, array) if array is not None else b""
-    blob = _dump_meta(meta, encoding)
-    writer.write(
-        _HEADER.pack(FRAME_MAGIC, FRAME_VERSION, encoding, len(blob), len(body))
-    )
+    header, blob, body = _frame_parts(meta, array)
+    writer.write(header)
     writer.write(blob)
     if body:
         writer.write(body)
@@ -211,7 +173,7 @@ async def read_frame_body(reader, *, first: bytes = b""):
     """Read one frame whose first ``len(first)`` header bytes were consumed.
 
     The server sniffs the protocol by reading a single byte, then hands it
-    back here via ``first``.  Returns ``(meta, encoding, array_or_None)``.
+    back here via ``first``.  Returns ``(meta, array_or_None)``.
     Raises :class:`FrameError` on malformed frames and
     :class:`asyncio.IncompleteReadError` when the peer hangs up mid-frame.
     """
@@ -221,7 +183,7 @@ async def read_frame_body(reader, *, first: bytes = b""):
     blob = await reader.readexactly(meta_len)
     body = await reader.readexactly(body_len) if body_len else b""
     meta = _load_meta(blob, encoding)
-    return meta, encoding, _rebuild_array(meta, body)
+    return meta, _rebuild_array(meta, body)
 
 
 async def read_frame(reader):
@@ -229,5 +191,4 @@ async def read_frame(reader):
 
     Returns ``(meta, array_or_None)``.
     """
-    meta, _, array = await read_frame_body(reader)
-    return meta, array
+    return await read_frame_body(reader)

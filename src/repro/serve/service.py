@@ -51,8 +51,7 @@ to a raw little-endian buffer on the binary frame path (see
 :func:`serve_forever` speaks two protocols on the same port, sniffed per
 message: newline-delimited JSON (one request object per line) and the
 length-prefixed binary frame format of :mod:`repro.serve.frames`
-(msgpack-encoded metadata when msgpack is importable, JSON otherwise, with
-array results shipped as raw numpy bytes).
+(JSON metadata, with array results shipped as raw numpy bytes).
 """
 
 from __future__ import annotations
@@ -213,6 +212,7 @@ class GraphService:
         self._max_sessions = int(max_sessions)
         self._sessions: OrderedDict[str, GraphSession] = OrderedDict()
         self._path_keys: dict[str, str] = {}
+        self._ref_paths: dict[str, str] = {}  # registry reference -> resolved path
         self._norm_paths: dict = {}  # raw path argument -> normalised str
         # Guards _sessions/_path_keys/_loads/_evictions: the event loop's
         # cache-hit path and loader-thread cold loads touch them
@@ -282,6 +282,22 @@ class GraphService:
             return str(self._registry.resolve(target))
         return target
 
+    def _remember_resolved(self, target: str, file_path: str, checksum: str) -> int:
+        """Key ``target`` and the file it resolved to to ``checksum``.
+
+        When a registry reference has moved on to another version, the
+        superseded version's path key goes first; otherwise it would keep
+        the superseded session referenced, and so loaded, until evicted.
+        Returns the number of sessions dropped.
+        """
+        if file_path == target:
+            return self._remember(target, checksum)
+        moved_from = self._ref_paths.get(target)
+        self._ref_paths[target] = file_path
+        if moved_from not in (None, file_path) and moved_from not in self._ref_paths.values():
+            self._path_keys.pop(moved_from, None)
+        return self._remember(target, checksum) + self._remember(file_path, checksum)
+
     def _remember(self, key: str, checksum: str) -> int:
         """Map ``key`` -> ``checksum`` (cache lock held by the caller).
 
@@ -320,9 +336,7 @@ class GraphService:
             cached = self._sessions.get(checksum)
             if cached is not None:
                 self._sessions.move_to_end(checksum)
-                stale += self._remember(target, checksum)
-                if file_path != target:
-                    stale += self._remember(file_path, checksum)
+                stale += self._remember_resolved(target, file_path, checksum)
             # The session this key served until now: a rescale-only new
             # version shares its resistance engine and label cache.
             previous = self._sessions.get(self._path_keys.get(target))
@@ -346,9 +360,7 @@ class GraphService:
             else:
                 self._sessions[checksum] = session
                 self._loads += 1
-            stale += self._remember(target, checksum)
-            if file_path != target:
-                stale += self._remember(file_path, checksum)
+            stale += self._remember_resolved(target, file_path, checksum)
             if existing is None:
                 while len(self._sessions) > self._max_sessions:
                     evicted_key, _ = self._sessions.popitem(last=False)
@@ -702,7 +714,7 @@ async def _serve_binary_message(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
 ) -> None:
-    request, encoding, _ = await read_frame_body(reader, first=first_byte)
+    request, _ = await read_frame_body(reader, first=first_byte)
     try:
         if not isinstance(request, dict):
             raise ValueError("request must be an object")
@@ -714,7 +726,7 @@ async def _serve_binary_message(
     encode_start = time.perf_counter()
     # Zero-copy on the result: the numpy buffer goes to the transport as a
     # memoryview — no per-value boxing, no text encoding.
-    write_frame(writer, response, array=array, encoding=encoding)
+    write_frame(writer, response, array=array)
     service.metrics.histogram("serve.tcp.serialize_ms").observe(
         1e3 * (time.perf_counter() - encode_start)
     )

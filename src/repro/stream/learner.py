@@ -6,13 +6,16 @@ the serve-N-while-fitting-N+1 world of ROADMAP item 3.  One initial
 batch learner would; every subsequent :meth:`update` appends a new batch to
 the window and then chooses, per batch, between two paths:
 
-* **incremental** — a bounded number of densification mini-iterations over
-  the *existing* candidate pool, reusing the persistent warm-started
-  :class:`~repro.embedding.EmbeddingEngine` (Woodbury-corrected refreshes,
-  no cold eigensolve) and finishing with a Step-5 rescale against the
-  current window.  Cost: a few warm refreshes — a small fraction of a fit.
+* **incremental** — a bounded number of iterations of the batch learner's
+  densification loop (:func:`~repro.core.sgl.densify`) over the *existing*
+  candidate pool, reusing the persistent embedding engine that
+  ``embedding_engine`` names (warm refreshes, no cold eigensolve) and
+  finishing with a Step-5 rescale against the current window.  Cost: a few
+  warm refreshes — a small fraction of a fit.
 * **full refit** — the batch learner re-run on the whole window, rebuilding
-  the kNN candidate pool and the embedding engine from scratch.  Chosen by
+  the kNN candidate pool and the embedding engine from scratch; the learner
+  then carries on from the fit's loop state (its engine and last
+  embedding) instead of building a second engine.  Chosen by
   the :class:`~repro.stream.DriftDetector` when the incoming batch's
   measurement distribution has left the learned subspace, when the energy
   scale jumps, on a forced cadence, or after the incremental path reported
@@ -42,24 +45,28 @@ True
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.config import SGLConfig
-from repro.core.history import IterationRecord, SGLHistory
+from repro.core.history import SGLHistory
 from repro.core.instrumentation import StageTimings
 from repro.core.scaling import spectral_edge_scaling
-from repro.core.sensitivity import edge_sensitivities
-from repro.core.sgl import SGLearner, SGLResult
-from repro.embedding.engine import EmbeddingEngine
+from repro.core.sgl import DensifyState, SGLearner, SGLResult, densify
 from repro.graphs.graph import WeightedGraph
 from repro.linalg.threads import single_threaded_blas
 from repro.measurements.generator import MeasurementSet
 from repro.measurements.validation import check_measurements
 from repro.obs.tracing import set_attributes, span as obs_span
 from repro.stream.drift import DriftDecision, DriftDetector
+
+# The sensitivity pass now runs inside repro.core.sgl.densify, but sglbench's
+# traced run still patches this module's ``edge_sensitivities`` attribute by
+# name (as it patches ``spectral_edge_scaling``), so the name must resolve.
+from repro.core.sensitivity import edge_sensitivities  # noqa: F401
 
 __all__ = ["OnlineSGLearner", "StreamUpdate"]
 
@@ -112,9 +119,9 @@ class OnlineSGLearner:
     Parameters
     ----------
     config:
-        The :class:`~repro.core.SGLConfig` for full (re)fits; keyword
-        overrides may be passed instead, as with ``SGLearner``.  The online
-        path requires the warm-capable incremental engine, so
+        The :class:`~repro.core.SGLConfig` for full (re)fits and for the
+        incremental updates; keyword overrides may be passed instead, as
+        with ``SGLearner``.  The online path needs a warm-capable engine, so
         ``embedding_engine`` must not be ``"stateless"``.
     drift:
         The refit/incremental decision policy; a default
@@ -172,14 +179,11 @@ class OnlineSGLearner:
 
         self._voltages: np.ndarray | None = None
         self._currents: np.ndarray | None = None
-        self._graph: WeightedGraph | None = None  # unscaled working topology
+        # The densification loop's state: unscaled working topology, the
+        # candidate pool, the embedding engine and its current embedding.
+        self._state: DensifyState | None = None
         self._scaled_graph: WeightedGraph | None = None
         self._scaling_factor = 1.0
-        self._candidates: WeightedGraph | None = None
-        self._pool_edges: np.ndarray | None = None
-        self._pool_weights: np.ndarray | None = None
-        self._engine: EmbeddingEngine | None = None
-        self._embedding: np.ndarray | None = None
         self._refit_sensitivity = config.tol
         self._last_result: SGLResult | None = None
         self._version = None
@@ -197,9 +201,9 @@ class OnlineSGLearner:
     @property
     def embedding(self):
         """The current :class:`~repro.embedding.SpectralEmbedding`."""
-        if self._embedding is None:
+        if self._state is None:
             raise RuntimeError("call fit() before reading the embedding")
-        return self._embedding
+        return self._state.embedding
 
     @property
     def window(self) -> MeasurementSet:
@@ -238,28 +242,19 @@ class OnlineSGLearner:
             if self._currents is not None:
                 self._currents = self._currents[:, -self.max_window :]
 
-    def _adopt_refit(self, result: SGLResult) -> None:
-        """Rebuild the incremental working state from a fresh full fit."""
-        config = self.config
+    def _refit(self, timings: StageTimings) -> SGLResult:
+        """Run the batch learner on the window and carry on from its loop state."""
+        result, state = SGLearner(self.config)._fit(self.window, timings=timings)
+        # Publish an embedding of the published graph.
+        state.refresh(timings)
         self._last_result = result
-        self._graph = result.unscaled_graph
+        self._state = state
         self._scaled_graph = result.graph
         self._scaling_factor = result.scaling_factor
-        self._candidates = result.knn_graph
-        pool_mask = ~result.unscaled_graph.has_edges(self._candidates.edges)
-        self._pool_edges = self._candidates.edges[pool_mask]
-        self._pool_weights = self._candidates.weights[pool_mask].copy()
-        self._engine = EmbeddingEngine(
-            config.r,
-            sigma_sq=config.sigma_sq,
-            method=config.eigensolver,
-            seed=config.seed,
-            multilevel_coarse_size=config.multilevel_coarse_size,
-        )
-        self._embedding = self._engine.refresh(self._graph, None)
         final = result.history.records[-1].max_sensitivity if len(result.history) else 0.0
-        self._refit_sensitivity = max(config.tol, final)
+        self._refit_sensitivity = max(self.config.tol, final)
         self.drift.reset(self.window, self._scaled_graph)
+        return result
 
     def _publish(self, timings: StageTimings, update: StreamUpdate | None, *, mode: str,
                  decision: DriftDecision | None, history: SGLHistory) -> object | None:
@@ -268,15 +263,15 @@ class OnlineSGLearner:
         with timings.stage("publish"):
             snapshot = SGLResult(
                 graph=self._scaled_graph,
-                unscaled_graph=self._graph,
+                unscaled_graph=self._state.graph,
                 initial_graph=self._last_result.initial_graph,
-                knn_graph=self._candidates,
+                knn_graph=self._last_result.knn_graph,
                 history=history,
                 converged=True,
                 scaling_factor=self._scaling_factor,
                 config=self.config,
                 timings=timings,
-                engine_stats=self._engine.stats.as_dict(),
+                engine_stats=self._state.engine.stats.as_dict(),
             )
             metadata = {
                 "stream": {
@@ -291,7 +286,7 @@ class OnlineSGLearner:
                 self.model_name,
                 parent=self._version,
                 metadata=metadata,
-                embedding=self._embedding.coordinates,
+                embedding=self._state.embedding.coordinates,
             )
         return self._version
 
@@ -303,15 +298,14 @@ class OnlineSGLearner:
         :func:`~repro.measurements.check_measurements` rejects, before any
         state changes.
         """
-        if self._graph is not None:
+        if self._state is not None:
             raise RuntimeError("fit() already ran; use update() for new batches")
         check_measurements(measurements.voltages, measurements.currents)
         start = time.perf_counter()
         timings = StageTimings()
         with obs_span("stream.fit", n_nodes=measurements.n_nodes), single_threaded_blas():
             self._append_window(measurements)
-            result = SGLearner(self.config).fit(self.window, timings=timings)
-            self._adopt_refit(result)
+            result = self._refit(timings)
             version = self._publish(
                 timings, None, mode="initial", decision=None, history=result.history
             )
@@ -345,7 +339,7 @@ class OnlineSGLearner:
         embedding engine's warm state.  Like :meth:`SGLearner.fit`, the
         update runs its dense kernels on one BLAS thread.
         """
-        if self._graph is None:
+        if self._state is None:
             raise RuntimeError("call fit() with the initial window first")
         check_measurements(new_measurements.voltages, new_measurements.currents)
         start = time.perf_counter()
@@ -362,8 +356,7 @@ class OnlineSGLearner:
                 self._append_window(new_measurements)
                 if decision.refit:
                     mode = "refit"
-                    result = SGLearner(self.config).fit(self.window, timings=timings)
-                    self._adopt_refit(result)
+                    result = self._refit(timings)
                     history = result.history
                     n_added = result.graph.n_edges - result.initial_graph.n_edges
                     max_sensitivity = (
@@ -405,15 +398,15 @@ class OnlineSGLearner:
     def _checkpoint(self) -> tuple:
         """The state an update may change, for :meth:`_rollback`.
 
-        Every field is replaced, never mutated in place, by an update, so
-        holding the references is a complete snapshot.
+        An update replaces these fields, or the loop state's fields, and
+        never mutates them in place, so references plus a shallow copy of
+        the loop state are a complete snapshot.
         """
         return (
-            self._voltages, self._currents, self._graph, self._scaled_graph,
-            self._scaling_factor, self._candidates, self._pool_edges,
-            self._pool_weights, self._engine, self._embedding,
-            self._refit_sensitivity, self._last_result, self._version,
-            self.drift.snapshot(), self._engine.stats.refreshes,
+            self._voltages, self._currents, dataclasses.replace(self._state),
+            self._scaled_graph, self._scaling_factor, self._refit_sensitivity,
+            self._last_result, self._version, self.drift.snapshot(),
+            self._state.engine.stats.refreshes,
         )
 
     def _rollback(self, saved: tuple) -> None:
@@ -423,14 +416,12 @@ class OnlineSGLearner:
         already refreshed it, the next update is forced to refit.
         """
         (
-            self._voltages, self._currents, self._graph, self._scaled_graph,
-            self._scaling_factor, self._candidates, self._pool_edges,
-            self._pool_weights, self._engine, self._embedding,
-            self._refit_sensitivity, self._last_result, self._version,
-            drift_state, refreshes,
+            self._voltages, self._currents, self._state,
+            self._scaled_graph, self._scaling_factor, self._refit_sensitivity,
+            self._last_result, self._version, drift_state, refreshes,
         ) = saved
         self.drift.restore(drift_state)
-        if self._engine.stats.refreshes != refreshes:
+        if self._state.engine.stats.refreshes != refreshes:
             self.drift.flag_degradation()
 
     def _incremental_pass(
@@ -438,77 +429,28 @@ class OnlineSGLearner:
     ) -> tuple[SGLHistory, int, float]:
         """Bounded densification against the current window (no cold solve)."""
         config = self.config
-        voltages = self._voltages
-        history = SGLHistory()
-        total_added = 0
-        max_sensitivity = 0.0
-        batch_size = config.edges_per_iteration(self._graph.n_nodes)
-        for iteration in range(self.incremental_iterations):
-            if self._pool_edges.shape[0] == 0:
-                break
-            with timings.stage("sensitivity"):
-                sensitivities = edge_sensitivities(
-                    self._embedding,
-                    voltages,
-                    self._pool_edges,
-                    n_samples=config.sensitivity_samples,
-                    seed=config.seed,
-                )
-            max_sensitivity = float(sensitivities.max())
-            if max_sensitivity < config.tol:
-                history.append(
-                    IterationRecord(
-                        iteration=iteration,
-                        max_sensitivity=max_sensitivity,
-                        n_edges=self._graph.n_edges,
-                        n_edges_added=0,
-                    )
-                )
-                break
-            with timings.stage("edge_selection"):
-                order = np.argsort(sensitivities)[::-1][:batch_size]
-                chosen = order[sensitivities[order] > config.tol]
-                add_edges = self._pool_edges[chosen]
-                add_weights = self._pool_weights[chosen]
-                self._graph = self._graph.add_edges(add_edges, add_weights)
-                keep = np.ones(self._pool_edges.shape[0], dtype=bool)
-                keep[chosen] = False
-                self._pool_edges = self._pool_edges[keep]
-                self._pool_weights = self._pool_weights[keep]
-            total_added += int(chosen.size)
-            history.append(
-                IterationRecord(
-                    iteration=iteration,
-                    max_sensitivity=max_sensitivity,
-                    n_edges=self._graph.n_edges,
-                    n_edges_added=int(chosen.size),
-                )
-            )
-            if chosen.size == 0:
-                break
-            # Warm-started refresh keyed to exactly the edges just added.
-            refresh_start = time.perf_counter()
-            self._embedding = self._engine.refresh(self._graph, add_edges)
-            refresh_end = time.perf_counter()
-            stage = (
-                "embedding_warm"
-                if self._engine.last_mode in ("warm-rr", "warm-inverse")
-                else "embedding"
-            )
-            timings.add_interval(
-                stage, refresh_start, refresh_end, mode=self._engine.last_mode
-            )
+        state = self._state
+        history, _ = densify(
+            state,
+            self._voltages,
+            config,
+            max_iterations=self.incremental_iterations,
+            timings=timings,
+        )
+        # Publish an embedding of the published graph.
+        state.refresh(timings)
         if config.edge_scaling and self._currents is not None:
             with timings.stage("edge_scaling"):
                 self._scaled_graph, self._scaling_factor = spectral_edge_scaling(
-                    self._graph, voltages, self._currents
+                    state.graph, self._voltages, self._currents
                 )
         else:
-            self._scaled_graph = self._graph
+            self._scaled_graph = state.graph
             self._scaling_factor = 1.0
+        max_sensitivity = float(history.max_sensitivities[-1]) if len(history) else 0.0
         if (
             self.degradation_ratio is not None
             and max_sensitivity > self.degradation_ratio * self._refit_sensitivity
         ):
             self.drift.flag_degradation()
-        return history, total_added, max_sensitivity
+        return history, int(history.edges_added.sum()), max_sensitivity

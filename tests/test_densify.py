@@ -1,0 +1,183 @@
+"""The densification loop (Steps 2-4) and its three callers.
+
+``repro.core.sgl.densify`` runs the batch fit, the online learner's
+incremental pass and the sharded stitch.  The golden cases pin the learned
+edge sets and weights of all three callers, on a grid, an FEM mesh and a
+circuit, for every embedding engine.  They were recorded before the three
+loops were merged into one; regenerate them only for a change that is meant
+to move the learned graphs:
+
+    PYTHONPATH=src python tests/test_densify.py --record
+"""
+
+import dataclasses
+import json
+import pathlib
+import sys
+
+import numpy as np
+import pytest
+
+from repro.core import sgl
+from repro.core.config import SGLConfig
+from repro.core.sgl import SGLearner
+from repro.embedding import MultilevelEmbeddingEngine
+from repro.graphs.generators import circuit_grid, fe_mesh, grid_2d
+from repro.measurements import simulate_measurements
+from repro.partition import ShardedSGLearner
+from repro.stream import DriftDecision, MeasurementStream, OnlineSGLearner
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "densify_golden.json"
+INPUTS = {
+    "grid": lambda: grid_2d(13, 13, weight_spread=4.0, seed=0),
+    "fem": lambda: fe_mesh(170, seed=0),
+    "circuit": lambda: circuit_grid(13, 13, seed=0),
+}
+ENGINES = ("incremental", "multilevel", "stateless")
+#: The online learner needs a warm-capable engine.
+ONLINE_ENGINES = ("incremental", "multilevel")
+N_UPDATES = 10
+#: The update before which a refit is forced (by flagging degradation).
+REFIT_AT = 5
+
+
+def _config(engine: str) -> SGLConfig:
+    return SGLConfig(beta=0.03, embedding_engine=engine, multilevel_coarse_size=64)
+
+
+def _as_record(graph) -> dict:
+    return {"edges": graph.edges.ravel().tolist(), "weights": graph.weights.tolist()}
+
+
+def run_fit(name: str, engine: str):
+    data = simulate_measurements(INPUTS[name](), 40, seed=1)
+    return SGLearner(_config(engine)).fit(data).graph
+
+
+def run_online(name: str, engine: str):
+    """Ten updates with a refit forced before update ``REFIT_AT``."""
+    stream = MeasurementStream(INPUTS[name](), batch_size=12, drift_rate=0.02, seed=2)
+    learner = OnlineSGLearner(_config(engine), max_window=60)
+    learner.fit(stream.next_batch())
+    modes = []
+    for index in range(N_UPDATES):
+        if index == REFIT_AT:
+            learner.drift.flag_degradation()
+        modes.append(learner.update(stream.next_batch()).mode)
+    return learner, modes
+
+
+def run_sharded(name: str, engine: str):
+    data = simulate_measurements(INPUTS[name](), 40, seed=1)
+    return ShardedSGLearner(_config(engine), num_parts=4).fit(data)
+
+
+def record() -> dict:
+    golden: dict = {"fit": {}, "online": {}, "sharded": {}}
+    for name in INPUTS:
+        for engine in ENGINES:
+            key = f"{name}/{engine}"
+            golden["fit"][key] = _as_record(run_fit(name, engine))
+            sharded = run_sharded(name, engine)
+            golden["sharded"][key] = dict(
+                _as_record(sharded.graph),
+                correction_edges=sharded.stitch_stats["correction_edges"],
+            )
+        for engine in ONLINE_ENGINES:
+            learner, modes = run_online(name, engine)
+            golden["online"][f"{name}/{engine}"] = dict(_as_record(learner.graph), modes=modes)
+    return golden
+
+
+def _golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def _assert_matches(graph, expected: dict) -> None:
+    assert graph.edges.ravel().tolist() == expected["edges"]
+    np.testing.assert_allclose(graph.weights, expected["weights"], rtol=1e-10, atol=0.0)
+
+
+CASES = [(name, engine) for name in INPUTS for engine in ENGINES]
+
+
+@pytest.mark.parametrize(("name", "engine"), CASES)
+def test_fit_matches_golden(name, engine):
+    _assert_matches(run_fit(name, engine), _golden()["fit"][f"{name}/{engine}"])
+
+
+@pytest.mark.parametrize(("name", "engine"), CASES)
+def test_sharded_matches_golden(name, engine):
+    expected = _golden()["sharded"][f"{name}/{engine}"]
+    result = run_sharded(name, engine)
+    _assert_matches(result.graph, expected)
+    assert result.stitch_stats["correction_edges"] == expected["correction_edges"]
+
+
+@pytest.mark.parametrize(("name", "engine"), [(n, e) for n in INPUTS for e in ONLINE_ENGINES])
+def test_online_matches_golden(name, engine):
+    expected = _golden()["online"][f"{name}/{engine}"]
+    learner, modes = run_online(name, engine)
+    assert modes == expected["modes"]
+    assert modes[REFIT_AT] == "refit"
+    _assert_matches(learner.graph, expected)
+
+
+def _stream_learner(engine: str):
+    stream = MeasurementStream(INPUTS["grid"](), batch_size=12, drift_rate=0.02, seed=2)
+    learner = OnlineSGLearner(dataclasses.replace(_config(engine), max_iterations=2), max_window=60)
+    learner.fit(stream.next_batch())
+    return learner, stream
+
+
+def test_online_updates_refresh_the_configured_engine():
+    learner, stream = _stream_learner("multilevel")
+    engine = learner._state.engine
+    assert isinstance(engine, MultilevelEmbeddingEngine)
+    before = engine.stats.refreshes
+    learner.drift.assess = lambda batch: DriftDecision(False, "stable", 1.0, 0.0, 1.0, 0)
+    update = learner.update(stream.next_batch())
+    assert update.mode == "incremental" and update.n_edges_added > 0
+    assert learner._state.engine is engine
+    assert engine.stats.refreshes > before
+    assert update.timings.seconds("refine") > 0.0
+
+
+def test_refit_adopts_the_fits_engine_without_a_cold_solve():
+    learner, stream = _stream_learner("incremental")
+    learner.drift.flag_degradation()
+    update = learner.update(stream.next_batch())
+    assert update.mode == "refit"
+    engine = learner._state.engine
+    # One cold solve starts the fit; the embedding the refit publishes is
+    # the fit's own, refreshed warm for the last iteration's edges.
+    assert engine.stats.cold_solves == learner._last_result.engine_stats["cold_solves"] == 1
+    assert engine.stats.refreshes == learner._last_result.engine_stats["refreshes"] + 1
+    assert learner._state.pending is None
+    assert learner.embedding.n_nodes == learner.graph.n_nodes
+
+
+def test_stitch_honours_sensitivity_samples(monkeypatch):
+    calls = []
+    original = sgl.edge_sensitivities
+
+    def recording(embedding, voltages, pairs, **kwargs):
+        calls.append((embedding.n_nodes, kwargs["n_samples"]))
+        return original(embedding, voltages, pairs, **kwargs)
+
+    monkeypatch.setattr(sgl, "edge_sensitivities", recording)
+    graph = INPUTS["grid"]()
+    data = simulate_measurements(graph, 40, seed=1)
+    config = dataclasses.replace(_config("incremental"), sensitivity_samples=16)
+    result = ShardedSGLearner(config, num_parts=4).fit(data)
+    stitch_calls = [samples for n_nodes, samples in calls if n_nodes == graph.n_nodes]
+    assert len(stitch_calls) == len(result.stitch_stats["correction_edges"]) > 0
+    assert set(samples for _, samples in calls) == {16}
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(record(), separators=(",", ":")) + "\n")
+    print(f"wrote {GOLDEN}")

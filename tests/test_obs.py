@@ -4,6 +4,7 @@ reconciliation, contextvar propagation across the batcher's thread-pool hop,
 mergeable metrics for --jobs, and a bounded tracer overhead)."""
 
 import asyncio
+import collections
 import json
 import threading
 import time
@@ -31,7 +32,7 @@ from repro.obs import (
     span,
 )
 from repro.obs.report import aggregate_spans, build_tree, main as obs_main, self_times
-from repro.serve.batching import BatchStats, MicroBatcher
+from repro.serve.batching import MicroBatcher
 
 
 @pytest.fixture(scope="module")
@@ -362,16 +363,7 @@ class TestMetricsRegistry:
 
 
 # ----------------------------------------------------------------------
-class TestBatchStatsShim:
-    def test_latencies_deprecated(self):
-        stats = BatchStats()
-        with pytest.warns(DeprecationWarning, match="latency_ms"):
-            assert stats.latencies == []
-
-    def test_max_recorded_latencies_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="max_recorded_latencies"):
-            MicroBatcher(lambda k, p: p, max_recorded_latencies=10)
-
+class TestBatchStats:
     def test_as_dict_percentiles_come_from_histogram(self):
         async def run():
             batcher = MicroBatcher(lambda k, p: p, max_batch_size=8, max_delay_s=0.001)
@@ -466,24 +458,26 @@ class TestReportCLI:
 
 # ----------------------------------------------------------------------
 class TestTracerOverhead:
-    def test_traced_fit_within_5_percent(self, measurements):
-        # The guard the whole design leans on: instrumentation must be
-        # near-free.  Compare best-of-N traced vs untraced fits; the best
-        # of several repeats is robust to scheduler noise, and a small
-        # absolute slack keeps sub-50ms fits from flaking the gate.
-        def best_of(n, traced):
-            best = float("inf")
-            for _ in range(n):
-                start = time.perf_counter()
-                if traced:
-                    with activate(Tracer()):
-                        learn_graph(measurements, beta=0.05)
-                else:
-                    learn_graph(measurements, beta=0.05)
-                best = min(best, time.perf_counter() - start)
-            return best
+    # Tracing is meant to stay on, so it must be cheap.  How cheap is a
+    # timing, measured by sglbench's ``trace.overhead_pct``; tier-1 checks
+    # the mechanism that keeps it cheap, without a clock.
+    def test_traced_fit_learns_the_same_graph(self, measurements):
+        untraced = learn_graph(measurements, beta=0.05)
+        with activate(Tracer()):
+            traced = learn_graph(measurements, beta=0.05)
+        assert traced.graph == untraced.graph
+        assert traced.history.edges_added.tolist() == untraced.history.edges_added.tolist()
 
-        best_of(1, traced=False)  # warm caches on both paths
-        untraced = best_of(5, traced=False)
-        traced = best_of(5, traced=True)
-        assert traced <= untraced * 1.05 + 2e-3, (traced, untraced)
+    def test_spans_grow_with_iterations_not_edges(self):
+        for side in (8, 16):
+            data = simulate_measurements(grid_2d(side, side), n_measurements=40, seed=0)
+            tracer = Tracer()
+            with activate(tracer):
+                result = learn_graph(data, beta=0.05)
+            names = collections.Counter(span.name for span in tracer.spans())
+            n = result.n_iterations
+            assert names["iteration"] == names["sensitivity"] == n
+            # The root, three set-up stages and Step 5; then per iteration
+            # its span, one refresh, one sensitivity pass and one selection.
+            assert sum(names.values()) <= 5 + 4 * n, names
+            assert result.knn_graph.n_edges > 2 * sum(names.values())

@@ -738,25 +738,22 @@ class TestServiceConcurrency:
                 service.query(cold_path, "resistance", (0, 1))
             )
             await asyncio.sleep(0.05)  # let the loader thread block on the gate
-            start = time.perf_counter()
             hot = await asyncio.gather(
                 *(
                     service.query(artifact_path, "resistance", (0, i))
                     for i in range(1, 33)
                 )
             )
-            hot_seconds = time.perf_counter() - start
-            assert not cold.done()  # still stuck in the (gated) load
+            # Hot queries finished while the cold load was still blocked —
+            # they cannot have been queued behind it.
+            assert not cold.done()
             gate.set()
             cold_value = await asyncio.wait_for(cold, timeout=30)
-            return hot, hot_seconds, cold_value
+            return hot, cold_value
 
-        hot, hot_seconds, cold_value = asyncio.run(run())
+        hot, cold_value = asyncio.run(run())
         service.close()
         assert len(hot) == 32 and all(float(v) >= 0 for v in hot)
-        # Hot queries finished while the cold load was still blocked — they
-        # cannot have been queued behind it.
-        assert hot_seconds < 5.0
         assert float(cold_value) > 0
 
     def test_mixed_kinds_interleave_without_blocking(self, artifact_path):

@@ -17,7 +17,6 @@ from repro.measurements.generator import simulate_measurements
 from repro.serve import GraphService, serve_forever
 from repro.serve.frames import (
     ENCODING_JSON,
-    ENCODING_MSGPACK,
     FRAME_MAGIC,
     FrameError,
     decode_frame,
@@ -43,7 +42,7 @@ def artifact_path(learned, tmp_path_factory):
 # ----------------------------------------------------------------------
 class TestFrameCodec:
     def test_meta_only_round_trip(self):
-        payload = encode_frame({"kind": "stats"}, encoding=ENCODING_JSON)
+        payload = encode_frame({"kind": "stats"})
         meta, array, consumed = decode_frame(payload)
         assert meta == {"kind": "stats"}
         assert array is None
@@ -54,7 +53,7 @@ class TestFrameCodec:
     )
     def test_array_round_trip(self, dtype):
         values = np.arange(12, dtype=dtype).reshape(3, 4)
-        payload = encode_frame({"ok": True}, array=values, encoding=ENCODING_JSON)
+        payload = encode_frame({"ok": True}, array=values)
         meta, array, _ = decode_frame(payload)
         assert meta["ok"] is True
         assert array.dtype == np.dtype(dtype).newbyteorder("<")
@@ -62,16 +61,14 @@ class TestFrameCodec:
 
     def test_big_endian_normalised_on_the_wire(self):
         values = np.arange(4, dtype=">f8")
-        payload = encode_frame({}, array=values, encoding=ENCODING_JSON)
+        payload = encode_frame({}, array=values)
         meta, array, _ = decode_frame(payload)
         assert meta["array"]["dtype"] == "<f8"
         np.testing.assert_array_equal(array.astype(float), values.astype(float))
 
     def test_two_frames_in_one_buffer(self):
-        first = encode_frame({"id": 1}, encoding=ENCODING_JSON)
-        second = encode_frame(
-            {"id": 2}, array=np.ones(2), encoding=ENCODING_JSON
-        )
+        first = encode_frame({"id": 1})
+        second = encode_frame({"id": 2}, array=np.ones(2))
         buffer = first + second
         meta1, _, consumed = decode_frame(buffer)
         meta2, array2, _ = decode_frame(buffer[consumed:])
@@ -79,25 +76,25 @@ class TestFrameCodec:
         np.testing.assert_array_equal(array2, [1.0, 1.0])
 
     def test_bad_magic_rejected(self):
-        payload = bytearray(encode_frame({}, encoding=ENCODING_JSON))
+        payload = bytearray(encode_frame({}))
         payload[0:2] = b"ZZ"
         with pytest.raises(FrameError, match="magic"):
             decode_frame(bytes(payload))
 
     def test_bad_version_rejected(self):
-        payload = bytearray(encode_frame({}, encoding=ENCODING_JSON))
+        payload = bytearray(encode_frame({}))
         payload[2] = 99
         with pytest.raises(FrameError, match="version"):
             decode_frame(bytes(payload))
 
     def test_unknown_encoding_rejected(self):
-        payload = bytearray(encode_frame({}, encoding=ENCODING_JSON))
+        payload = bytearray(encode_frame({}))
         payload[3] = 42
         with pytest.raises(FrameError, match="encoding"):
             decode_frame(bytes(payload))
 
     def test_truncated_body_rejected(self):
-        payload = encode_frame({}, array=np.ones(8), encoding=ENCODING_JSON)
+        payload = encode_frame({}, array=np.ones(8))
         with pytest.raises(FrameError, match="truncated"):
             decode_frame(payload[:-4])
 
@@ -108,22 +105,18 @@ class TestFrameCodec:
             decode_frame(header + b"{}")
 
     def test_corrupt_array_spec_rejected(self):
-        payload = encode_frame(
-            {"array": {"dtype": "<f8", "shape": [5]}}, encoding=ENCODING_JSON
-        )
+        payload = encode_frame({"array": {"dtype": "<f8", "shape": [5]}})
         with pytest.raises(FrameError, match="does not match"):
             decode_frame(payload)
 
-    def test_msgpack_gated_on_availability(self):
-        from repro.serve import frames
-
-        if frames.msgpack is None:
-            with pytest.raises(FrameError, match="msgpack"):
-                encode_frame({}, encoding=ENCODING_MSGPACK)
-        else:
-            payload = encode_frame({"x": 1}, encoding=ENCODING_MSGPACK)
-            meta, _, _ = decode_frame(payload)
-            assert meta == {"x": 1}
+    def test_meta_encodings_other_than_json_rejected(self):
+        # Byte 3 once also allowed msgpack (1); JSON (0) is the only meta
+        # encoding now, and any other value is refused, not guessed at.
+        payload = bytearray(encode_frame({"x": 1}))
+        assert payload[3] == ENCODING_JSON
+        payload[3] = 1
+        with pytest.raises(FrameError, match="encoding"):
+            decode_frame(bytes(payload))
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +155,7 @@ class TestTCPBinaryProtocol:
             write_frame(writer, {
                 "id": 11, "kind": "resistance",
                 "artifact": str(artifact_path), "pairs": pairs,
-            }, encoding=ENCODING_JSON)
+            })
             await writer.drain()
             return await asyncio.wait_for(read_frame(reader), timeout=10)
 
@@ -177,10 +170,10 @@ class TestTCPBinaryProtocol:
             write_frame(writer, {
                 "kind": "neighbors", "artifact": str(artifact_path),
                 "nodes": [0, 1], "k": 3,
-            }, encoding=ENCODING_JSON)
+            })
             await writer.drain()
             nbr = await asyncio.wait_for(read_frame(reader), timeout=10)
-            write_frame(writer, {"kind": "stats"}, encoding=ENCODING_JSON)
+            write_frame(writer, {"kind": "stats"})
             await writer.drain()
             stats = await asyncio.wait_for(read_frame(reader), timeout=10)
             return nbr, stats
@@ -210,7 +203,7 @@ class TestTCPBinaryProtocol:
             write_frame(writer, {
                 "id": 2, "kind": "resistance",
                 "artifact": str(artifact_path), "pairs": [[0, 48]],
-            }, encoding=ENCODING_JSON)
+            })
             await writer.drain()
             frame_meta, frame_array = await asyncio.wait_for(
                 read_frame(reader), timeout=10
@@ -243,9 +236,24 @@ class TestTCPBinaryProtocol:
         assert not meta["ok"]
         assert "bad frame" in meta["error"]
 
+    def test_non_json_meta_frame_gets_error_and_connection_stays_in_step(self):
+        async def scenario(service, reader, writer):
+            rejected = bytearray(encode_frame({"kind": "stats"}))
+            rejected[3] = 1  # the retired msgpack meta encoding
+            writer.write(bytes(rejected))
+            await writer.drain()
+            error = await asyncio.wait_for(read_frame(reader), timeout=10)
+            write_frame(writer, {"kind": "stats"})
+            await writer.drain()
+            return error, await asyncio.wait_for(read_frame(reader), timeout=10)
+
+        (error, _), (stats, _) = self._run_server(scenario)
+        assert not error["ok"] and "encoding" in error["error"]
+        assert stats["ok"]
+
     def test_binary_error_response_for_bad_request(self, artifact_path):
         async def scenario(service, reader, writer):
-            write_frame(writer, {"kind": "nope"}, encoding=ENCODING_JSON)
+            write_frame(writer, {"kind": "nope"})
             await writer.drain()
             return await asyncio.wait_for(read_frame(reader), timeout=10)
 

@@ -395,6 +395,31 @@ class TestRescaleCarryOver:
         assert service.metrics.counter("serve.cache.rescaled").value == 20
         service.close()
 
+    def test_a_moving_reference_keeps_one_session(self, model_a, embedding, tmp_path):
+        # Regression: warm also keyed each resolved version's file path, so
+        # the superseded session stayed referenced, and loaded, until the
+        # LRU evicted it: 20 versions ended with 4 loaded and 17 evictions.
+        registry = ModelRegistry(tmp_path / "registry")
+        parent = registry.publish(model_a, "grid", embedding=embedding)
+        service = GraphService(registry=registry)
+        service.warm("grid@latest")
+        for step in range(1, 21):
+            parent = registry.publish(
+                dataclasses.replace(model_a, graph=model_a.graph.scaled(1.0 + step)),
+                "grid",
+                parent=parent,
+                embedding=embedding,
+            )
+            assert service.warm("grid@latest").checksum == parent.checksum
+        sessions = service.stats()["sessions"]
+        assert (sessions["loaded"], sessions["evictions"]) == (1, 0)
+        assert service.metrics.counter("serve.cache.invalidations").value == 20
+        assert service.metrics.counter("serve.cache.rescaled").value == 20
+        # The current version's path stays keyed: warming it is a cache hit.
+        assert service.warm(registry.resolve("grid@latest")).checksum == parent.checksum
+        assert service.stats()["sessions"]["loaded"] == 1
+        service.close()
+
     def test_warm_counts_a_rescaled_resave_at_the_same_path(self, model_a, embedding, tmp_path):
         path = tmp_path / "model.npz"
         self.save(model_a.graph, embedding, path)

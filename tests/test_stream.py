@@ -327,8 +327,8 @@ class TestOnlineSGLearner:
         learner = OnlineSGLearner(beta=0.05, max_window=80, max_iterations=1)
         learner.fit(MeasurementSet(data.voltages[:, :30], data.currents[:, :30]))
         graph, scale = learner.graph, learner.updates[-1].scaling_factor
-        pool = learner._pool_edges.copy()
-        refreshes = learner._engine.stats.refreshes
+        pool = learner._state.pool_edges.copy()
+        refreshes = learner._state.engine.stats.refreshes
 
         def failing_scaling(*args, **kwargs):
             raise RuntimeError("step 5 failed")
@@ -336,11 +336,11 @@ class TestOnlineSGLearner:
         monkeypatch.setattr(learner_module, "spectral_edge_scaling", failing_scaling)
         with pytest.raises(RuntimeError, match="step 5 failed"):
             learner.update(batch)
-        assert learner._engine.stats.refreshes > refreshes  # the pass added edges
+        assert learner._state.engine.stats.refreshes > refreshes  # the pass added edges
         assert learner.graph is graph
-        assert learner._graph.n_edges == graph.n_edges
+        assert learner._state.graph.n_edges == graph.n_edges
         assert learner._scaling_factor == scale
-        assert np.array_equal(learner._pool_edges, pool)
+        assert np.array_equal(learner._state.pool_edges, pool)
         assert learner.window.n_measurements == 30
         monkeypatch.undo()
         update = learner.update(batch)
