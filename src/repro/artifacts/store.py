@@ -176,8 +176,12 @@ def _config_to_meta(config: SGLConfig) -> dict:
         data["sigma_sq"] = "inf"
     return data
 
+
 def _config_from_meta(data: dict) -> SGLConfig:
     data = dict(data)
+    # Older artifacts also store the removed compute-backend field, which
+    # only chose where the Chebyshev filter's arithmetic ran, never the graph.
+    data.pop("linalg_backend", None)
     if data.get("sigma_sq") == "inf":
         data["sigma_sq"] = np.inf
     try:

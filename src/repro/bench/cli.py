@@ -121,22 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--refinement-backend",
-        choices=("lobpcg", "inverse-power", "chebyshev"),
+        choices=("lobpcg", "chebyshev"),
         default=None,
         help="override SGLConfig.refinement_backend for every scenario "
         "(A/B the multilevel engine's per-level refinement: preconditioned "
-        "LOBPCG, block PINVIT, or mixed-precision Chebyshev-filtered "
+        "LOBPCG or mixed-precision Chebyshev-filtered "
         "subspace iteration; only meaningful with --engine multilevel; "
         "default: scenario settings)",
-    )
-    p_run.add_argument(
-        "--linalg-backend",
-        choices=("auto", "numpy", "cupy"),
-        default=None,
-        help="override SGLConfig.linalg_backend for every scenario "
-        "(compute backend for the chebyshev filter primitives: 'numpy' "
-        "always available, 'cupy' when the GPU stack is importable, "
-        "'auto' probes and degrades to numpy; default: scenario settings)",
     )
     p_run.add_argument(
         "--refine-dtype",
@@ -148,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--knn-backend",
-        choices=("auto", "brute", "kdtree", "jl", "nsw"),
+        choices=("auto", "brute", "kdtree", "jl"),
         default=None,
         help="override SGLConfig.knn_backend for every scenario "
         "(A/B the Step-1 search backends: exact KD-tree, blocked-BLAS "
@@ -348,8 +339,6 @@ def _cmd_run(args) -> int:
         sgl_overrides["knn_backend"] = args.knn_backend
     if args.refinement_backend is not None:
         sgl_overrides["refinement_backend"] = args.refinement_backend
-    if args.linalg_backend is not None:
-        sgl_overrides["linalg_backend"] = args.linalg_backend
     if args.refine_dtype is not None:
         sgl_overrides["refine_dtype"] = args.refine_dtype
     if sgl_overrides:
@@ -423,7 +412,6 @@ def _cmd_run(args) -> int:
             "sharded_parts": sharded_parts,
             "knn_backend": args.knn_backend,
             "refinement_backend": args.refinement_backend,
-            "linalg_backend": args.linalg_backend,
             "refine_dtype": args.refine_dtype,
             "profile": str(profile_dir) if profile_dir is not None else None,
             "trace": args.trace,

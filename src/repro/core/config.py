@@ -27,7 +27,7 @@ class SGLConfig:
         Nearest-neighbour search backend for Step 1: ``"auto"`` (default;
         picks from the feature shape — see
         :func:`repro.knn.backends.select_backend`), ``"kdtree"``,
-        ``"brute"``, ``"jl"`` or ``"nsw"``.
+        ``"brute"`` or ``"jl"``.
     r:
         Number of Laplacian eigenvectors for the spectral embedding (Eq. 12);
         the embedding uses the ``r - 1`` nontrivial vectors ``u_2 .. u_r``.
@@ -43,10 +43,10 @@ class SGLConfig:
     max_iterations:
         Safety cap on densification iterations.
     eigensolver:
-        Backend for Step 2: ``"auto"``, ``"dense"``, ``"shift-invert"``,
-        ``"lobpcg"`` or ``"multilevel"`` (the paper's near-linear-time path).
-        With the incremental engine this backend only serves *cold* solves;
-        warm refreshes use Rayleigh-Ritz / warm-started LOBPCG.
+        Backend for Step 2: ``"auto"``, ``"dense"``, ``"shift-invert"`` or
+        ``"multilevel"`` (the paper's near-linear-time path).  With the
+        incremental engine this backend only serves *cold* solves; warm
+        refreshes use Rayleigh-Ritz / warm-started inverse iteration.
     embedding_engine:
         ``"incremental"`` (default) keeps a warm-started
         :class:`~repro.embedding.EmbeddingEngine` alive across densification
@@ -70,18 +70,13 @@ class SGLConfig:
         hierarchy.
     refinement_backend:
         Per-level refinement backend of the ``"multilevel"`` engine:
-        ``"lobpcg"`` (default), ``"inverse-power"`` (block PINVIT) or
-        ``"chebyshev"`` (mixed-precision Chebyshev-filtered subspace
-        iteration with float64 acceptance; see
+        ``"lobpcg"`` (default) or ``"chebyshev"`` (mixed-precision
+        Chebyshev-filtered subspace iteration with float64 acceptance; see
         :mod:`repro.linalg.chebyshev`).
     refine_dtype:
         Filtering precision for ``refinement_backend="chebyshev"``:
         ``"float32"`` (default; the memory-bound filter matvecs run at half
         traffic) or ``"float64"``.  Acceptance is always float64.
-    linalg_backend:
-        Compute backend for the chebyshev filter, one of
-        :data:`repro.linalg.backends.BACKEND_NAMES` (``"numpy"`` default;
-        ``"auto"`` prefers cupy when importable; ``"cupy"`` requires it).
     sensitivity_samples:
         ``None`` (default) keeps the paper's exact per-edge sensitivity
         pass (Step 3).  A positive int opts into the Hutchinson-style
@@ -131,7 +126,6 @@ class SGLConfig:
     multilevel_churn_threshold: float = 0.1
     refinement_backend: str = "lobpcg"
     refine_dtype: str = "float32"
-    linalg_backend: str = "numpy"
     sensitivity_samples: int | None = None
     edge_scaling: bool = True
     initial_graph: str = "mst"
@@ -152,11 +146,11 @@ class SGLConfig:
             raise ValueError("sigma_sq must be positive")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
-        if self.knn_backend not in {"auto", "brute", "kdtree", "jl", "nsw"}:
+        if self.knn_backend not in {"auto", "brute", "kdtree", "jl"}:
             raise ValueError(f"unknown knn_backend {self.knn_backend!r}")
         if self.initial_graph not in {"mst", "knn", "random-tree"}:
             raise ValueError("initial_graph must be 'mst', 'knn' or 'random-tree'")
-        if self.eigensolver not in {"auto", "dense", "shift-invert", "lobpcg", "multilevel"}:
+        if self.eigensolver not in {"auto", "dense", "shift-invert", "multilevel"}:
             raise ValueError(f"unknown eigensolver {self.eigensolver!r}")
         if self.embedding_engine not in {"stateless", "incremental", "multilevel"}:
             raise ValueError(
@@ -164,12 +158,10 @@ class SGLConfig:
             )
         if self.multilevel_churn_threshold < 0:
             raise ValueError("multilevel_churn_threshold must be non-negative")
-        if self.refinement_backend not in {"lobpcg", "inverse-power", "chebyshev"}:
+        if self.refinement_backend not in {"lobpcg", "chebyshev"}:
             raise ValueError(f"unknown refinement_backend {self.refinement_backend!r}")
         if self.refine_dtype not in {"float32", "float64"}:
             raise ValueError("refine_dtype must be 'float32' or 'float64'")
-        if self.linalg_backend not in {"auto", "numpy", "cupy"}:
-            raise ValueError(f"unknown linalg_backend {self.linalg_backend!r}")
         if self.sensitivity_samples is not None and self.sensitivity_samples < 1:
             raise ValueError("sensitivity_samples must be None or at least 1")
         if self.objective_eigenvalues < 1:

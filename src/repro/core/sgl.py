@@ -146,7 +146,6 @@ def make_engine(
             churn_threshold=config.multilevel_churn_threshold,
             refinement=config.refinement_backend,
             refine_dtype=config.refine_dtype,
-            linalg_backend=config.linalg_backend,
             seed=config.seed,
         )
     engine = EmbeddingEngine if config.embedding_engine == "incremental" else StatelessEmbeddingEngine

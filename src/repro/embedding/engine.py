@@ -14,7 +14,7 @@ refreshes it with an escalation ladder, cheapest first:
 1. **Rayleigh-Ritz residual check**: the stored eigenpairs are re-tested
    against the updated Laplacian (``k`` sparse matvecs); tiny or empty edge
    updates are accepted outright.
-2. **Warm-started block-Krylov inverse iteration**: an inverse-power tower
+2. **Warm-started block-Krylov inverse iteration**: an inverse-iteration tower
    ``[V, L^-1 V, L^-2 V, ...]`` grown from the previous eigenvectors with
    *exact* solves against the current Laplacian, served by a stale grounded
    LU factorisation plus a Woodbury low-rank correction for the edges added
@@ -171,7 +171,7 @@ class _IncrementalLaplacianInverse:
         """Exact mean-free solution of the *current* Laplacian system.
 
         Pass ``project_input=False`` when the right-hand sides are already
-        mean-free (e.g. inside the engine's inverse-power tower, whose
+        mean-free (e.g. inside the engine's inverse-iteration tower, whose
         vectors stay mean-free by construction) to skip a projection pass.
         """
         x0 = self._base_solve(block, project_input=project_input)
@@ -244,8 +244,8 @@ class EmbeddingEngine:
         Prior feature variance forwarded to the Eq. (12) scaling.
     method:
         Eigensolver backend for *cold* solves (``"auto"``, ``"dense"``,
-        ``"shift-invert"``, ``"lobpcg"`` or ``"multilevel"``); warm refreshes
-        always use Rayleigh-Ritz / inverse iteration regardless.
+        ``"shift-invert"`` or ``"multilevel"``); warm refreshes always use
+        Rayleigh-Ritz / inverse iteration regardless.
     seed:
         Seed forwarded to the iterative cold backends.
     multilevel_coarse_size:
@@ -280,7 +280,7 @@ class EmbeddingEngine:
         needs.  They keep eigenvalue clusters at the block boundary inside
         the iterated subspace, which is what makes the tower converge fast.
     max_depth:
-        Deepest inverse-power Krylov tower grown before declaring a
+        Deepest inverse-iteration Krylov tower grown before declaring a
         fallback.  The engine remembers the depth the previous refresh
         needed and lifts straight to it, extending two levels at a time
         when the convergence check fails.
@@ -321,7 +321,7 @@ class EmbeddingEngine:
         r: int = 5,
         *,
         sigma_sq: float = np.inf,
-        method: Literal["auto", "dense", "shift-invert", "lobpcg", "multilevel"] = "auto",
+        method: Literal["auto", "dense", "shift-invert", "multilevel"] = "auto",
         seed: int | None = 0,
         multilevel_coarse_size: int = 200,
         warm_tol: float = 1e-3,
@@ -471,7 +471,7 @@ class EmbeddingEngine:
             ):
                 return values, vectors, "warm-rr"
 
-        # Grow one inverse-power Krylov tower [V, L^-1 V_k, L^-2 V_k, ...]
+        # Grow one inverse-iteration Krylov tower [V, L^-1 V_k, L^-2 V_k, ...]
         # and Rayleigh-Ritz over it.  The depth a refresh needs is strongly
         # correlated with the previous refresh's (consecutive batches have
         # similar weight), so lift straight to the remembered depth and only
@@ -492,7 +492,7 @@ class EmbeddingEngine:
             try:
                 while depth < target:
                     current = self._inverse.solve(current, project_input=False)
-                    # Per-column renormalisation: the inverse-power
+                    # Per-column renormalisation: the inverse-iteration
                     # recurrence grows columns by ~1/lambda_2 per level, and
                     # the span is scaling-invariant.
                     col_norms = np.linalg.norm(current, axis=0)

@@ -13,7 +13,7 @@ adds its ``ceil(N beta)`` edges per iteration.  Every refresh
    churn since the last build exceeds ``churn_threshold``;
 2. **refine**: solves the dense eigenproblem on the coarsest level,
    prolongates through the hierarchy and refines per level with the
-   preconditioned LOBPCG / inverse-power machinery of
+   preconditioned LOBPCG or Chebyshev-filter machinery of
    :class:`~repro.linalg.MultilevelEigensolver`, warm-starting the finest
    level with the previous iteration's eigenvectors.
 
@@ -72,7 +72,7 @@ class MultilevelEngineStats:
     chebyshev_accepts:
         Levels whose mixed-precision Chebyshev refinement passed the
         float64 acceptance residual (summed over refreshes; stays 0 for
-        the lobpcg / inverse-power backends).
+        the lobpcg backend).
     chebyshev_fallbacks:
         Levels rejected by the acceptance check and re-refined by the
         float64 LOBPCG path.
@@ -148,13 +148,13 @@ class MultilevelEmbeddingEngine:
         a cold V-cycle comes from (coarse levels jointly cost 2-3x the
         finest one).
     refinement, preconditioner:
-        Refinement backend (``"lobpcg"`` / ``"inverse-power"`` /
-        ``"chebyshev"``) and preconditioner forwarded to the multilevel
-        solver.  The chebyshev backend is matrix-free mixed-precision
-        Chebyshev-filtered subspace iteration on warm refreshes; cold
-        V-cycles (hierarchy builds and churn rebuilds) are seeded with the
-        float64 LOBPCG reference path, because they run once per build but
-        anchor the whole densification trajectory.  A warm level whose
+        Refinement backend (``"lobpcg"`` / ``"chebyshev"``) and
+        preconditioner forwarded to the multilevel solver.  The chebyshev
+        backend is matrix-free mixed-precision Chebyshev-filtered subspace
+        iteration on warm refreshes; cold V-cycles (hierarchy builds and
+        churn rebuilds) are seeded with the float64 LOBPCG reference path,
+        because they run once per build but anchor the whole densification
+        trajectory.  A warm level whose
         float64 acceptance residual rejects the filtered subspace falls
         back to preconditioned LOBPCG (counted in ``stats``).  The engine
         defaults to ``"spanning-tree"`` support-graph preconditioning: the
@@ -176,11 +176,10 @@ class MultilevelEmbeddingEngine:
         more than this fraction since the hierarchy was built; below it the
         stored matchings are reused and only the Galerkin coarse graphs are
         recomputed.  ``0`` rebuilds on every refresh that changed the graph.
-    refine_dtype, linalg_backend, chebyshev_degree:
+    refine_dtype, chebyshev_degree:
         Chebyshev knobs forwarded to the solver: filtering precision
-        (``"float32"`` default), compute backend name for
-        :func:`repro.linalg.backends.get_backend`, and filter polynomial
-        degree.  Ignored by the other refinement backends.
+        (``"float32"`` default) and filter polynomial degree.  Ignored by
+        the lobpcg backend.
     refresh_skip_churn:
         Chebyshev-backend-only refresh elision: when the caller reports
         ``added_edges`` and the relative churn ``len(added_edges) /
@@ -191,8 +190,8 @@ class MultilevelEmbeddingEngine:
         effect on the embedding is far below refinement accuracy, so the
         stale embedding ranks the next candidate batch identically while
         saving a full finest-level solve.  ``0`` disables skipping.  The
-        lobpcg / inverse-power backends never skip, keeping the default
-        engine bit-compatible with earlier releases.
+        lobpcg backend never skips, keeping the default engine
+        bit-compatible with earlier releases.
     max_levels, min_coarsening_ratio:
         Hierarchy stopping controls.
     seed:
@@ -222,10 +221,9 @@ class MultilevelEmbeddingEngine:
         refinement_steps: int = 10,
         warm_refinement_steps: int | None = 5,
         warm_coarse_steps: int = 1,
-        refinement: Literal["lobpcg", "inverse-power", "chebyshev"] = "lobpcg",
+        refinement: Literal["lobpcg", "chebyshev"] = "lobpcg",
         preconditioner: Literal["jacobi", "spanning-tree"] = "spanning-tree",
         refine_dtype: str = "float32",
-        linalg_backend: str = "numpy",
         chebyshev_degree: int = 10,
         refresh_skip_churn: float = 5.5e-5,
         guard_vectors: int = 2,
@@ -260,7 +258,6 @@ class MultilevelEmbeddingEngine:
             refinement=refinement,
             preconditioner=preconditioner,
             refine_dtype=refine_dtype,
-            linalg_backend=linalg_backend,
             chebyshev_degree=chebyshev_degree,
             max_levels=max_levels,
             min_coarsening_ratio=min_coarsening_ratio,

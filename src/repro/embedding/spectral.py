@@ -129,7 +129,7 @@ def spectral_embedding_matrix(
     r: int = 5,
     *,
     sigma_sq: float = np.inf,
-    method: Literal["auto", "dense", "shift-invert", "lobpcg", "multilevel"] = "auto",
+    method: Literal["auto", "dense", "shift-invert", "multilevel"] = "auto",
     seed: int | None = 0,
     multilevel_coarse_size: int = 200,
 ) -> SpectralEmbedding:

@@ -73,8 +73,8 @@ def default_workload(
     n_measurements:
         Number of (voltage, current) measurement pairs.
     knn_backend:
-        Step-1 search backend (``"auto"``, ``"brute"``, ``"kdtree"``,
-        ``"jl"`` or ``"nsw"``); ``None`` keeps the config default.  The
+        Step-1 search backend (``"auto"``, ``"brute"``, ``"kdtree"`` or
+        ``"jl"``); ``None`` keeps the config default.  The
         ``auto`` policy probes the measurement matrix's effective rank
         (:func:`repro.knn.backends.select_backend`): the smooth mesh cases
         stay on the KD-tree at every scale, while high-rank cases like

@@ -10,8 +10,6 @@ graph.  This subpackage provides:
   ``auto`` selection policy;
 * :mod:`repro.knn.knn_graph` -- kNN graphs over any backend with the paper's
   inverse-squared-distance edge weights and connectivity repair;
-* :mod:`repro.knn.nsw` -- a small navigable-small-world approximate
-  nearest-neighbour index mirroring the HNSW reference [8] of the paper;
 * :mod:`repro.knn.mst` -- maximum/minimum spanning trees.
 """
 
@@ -26,7 +24,6 @@ from repro.knn.backends import (
     sketch_dimension,
 )
 from repro.knn.knn_graph import knn_graph, knn_edges
-from repro.knn.nsw import NSWIndex
 from repro.knn.mst import maximum_spanning_tree, minimum_spanning_tree
 
 __all__ = [
@@ -40,7 +37,6 @@ __all__ = [
     "sketch_dimension",
     "knn_graph",
     "knn_edges",
-    "NSWIndex",
     "maximum_spanning_tree",
     "minimum_spanning_tree",
 ]

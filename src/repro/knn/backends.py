@@ -26,7 +26,6 @@ backend     class                           chosen by ``auto`` when
                                             ``<= 8`` (tree pruning works)
  brute      :class:`BruteForceIndex`        high-rank features, ``N < 2048``
  jl         :class:`JLIndex`                high-rank features, ``N >= 2048``
- nsw        :class:`repro.knn.NSWIndex`     never (opt-in graph-based ANN)
 ========== =============================== ==================================
 
 The same backend names are accepted by :func:`repro.knn.knn_edges`,
@@ -567,11 +566,10 @@ def build_index(features: np.ndarray, backend: str = "auto", **options):
         ``(N, M)`` feature matrix.
     backend:
         ``"auto"`` (default; policy in :func:`select_backend`), ``"brute"``,
-        ``"kdtree"``, ``"jl"`` or ``"nsw"`` (the approximate
-        :class:`repro.knn.NSWIndex`).
+        ``"kdtree"`` or ``"jl"``.
     options:
-        Backend-specific keyword arguments (e.g. ``seed=...`` for ``jl`` and
-        ``nsw``, ``block_bytes=...`` for ``brute``).  A ``seed`` passed to a
+        Backend-specific keyword arguments (e.g. ``seed=...`` for ``jl``,
+        ``block_bytes=...`` for ``brute``).  A ``seed`` passed to a
         seedless backend is dropped, so callers can thread one
         unconditionally.
 
@@ -592,17 +590,12 @@ def build_index(features: np.ndarray, backend: str = "auto", **options):
     features = _as_features(features)
     if backend == "auto":
         backend = select_backend(features.shape[0], features.shape[1], features)
-    if backend == "nsw":
-        from repro.knn.nsw import NSWIndex
-
-        seed = options.pop("seed", 0)
-        return NSWIndex(seed=seed, **options).build(features)
     try:
         factory = BACKENDS[backend]
     except KeyError:
         raise ValueError(
             f"unknown kNN backend {backend!r}; "
-            f"available: {sorted(BACKENDS) + ['auto', 'nsw']}"
+            f"available: {sorted(BACKENDS) + ['auto']}"
         ) from None
     if factory is not JLIndex:
         options.pop("seed", None)

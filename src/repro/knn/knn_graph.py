@@ -45,12 +45,12 @@ def knn_edges(
         Number of neighbours per node (excluding the node itself).
     index:
         Optional pre-built nearest-neighbour index exposing a
-        ``query(features, k)`` method (e.g. :class:`repro.knn.NSWIndex` or
-        any :mod:`repro.knn.backends` index); overrides ``backend``.
+        ``query(features, k)`` method (e.g. any :mod:`repro.knn.backends`
+        index); overrides ``backend``.
     backend:
         Search backend name passed to :func:`repro.knn.backends.build_index`
         when no ``index`` is given: ``"auto"`` (default), ``"brute"``,
-        ``"kdtree"``, ``"jl"`` or ``"nsw"``.
+        ``"kdtree"`` or ``"jl"``.
     backend_options:
         Extra keyword arguments for the backend factory (e.g. ``seed``).
 

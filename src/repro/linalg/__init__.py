@@ -4,8 +4,8 @@ The SGL algorithm needs three numerical kernels, all centred on graph
 Laplacians (singular, symmetric, diagonally dominant M-matrices):
 
 * solving ``L x = b`` for right-hand sides orthogonal to the all-one vector
-  (voltage simulation, Step 5 edge scaling) -- :mod:`repro.linalg.solvers`,
-  :mod:`repro.linalg.conjugate_gradient`, :mod:`repro.linalg.preconditioners`;
+  (voltage simulation, Step 5 edge scaling) -- :mod:`repro.linalg.solvers`
+  (a grounded sparse LU);
 * computing the first few nontrivial Laplacian eigenpairs (Step 2 spectral
   embedding) -- :mod:`repro.linalg.eigen` and the nearly-linear-time
   :mod:`repro.linalg.multilevel` solver built on
@@ -13,18 +13,11 @@ Laplacians (singular, symmetric, diagonally dominant M-matrices):
 * effective-resistance computations (exact and Johnson-Lindenstrauss
   approximated) -- :mod:`repro.linalg.pseudoinverse`.
 
-The dense/sparse primitives behind the multilevel refinement inner loops are
-pluggable through :mod:`repro.linalg.backends` (numpy default, cupy when
-available), and :mod:`repro.linalg.chebyshev` provides the mixed-precision
-Chebyshev-filtered subspace iteration built on them.
+The multilevel solver refines each level with LOBPCG, preconditioned by
+:mod:`repro.linalg.preconditioners`, or with the mixed-precision
+Chebyshev-filtered subspace iteration of :mod:`repro.linalg.chebyshev`.
 """
 
-from repro.linalg.backends import (
-    LinalgBackend,
-    LinalgBackendError,
-    available_backends,
-    get_backend,
-)
 from repro.linalg.chebyshev import (
     ChebyshevOutcome,
     chebyshev_filter,
@@ -32,7 +25,6 @@ from repro.linalg.chebyshev import (
     lanczos_spectral_bound,
 )
 from repro.linalg.solvers import LaplacianSolver
-from repro.linalg.conjugate_gradient import conjugate_gradient
 from repro.linalg.preconditioners import (
     jacobi_preconditioner,
     spanning_tree_preconditioner,
@@ -56,16 +48,11 @@ from repro.linalg.pseudoinverse import (
 
 __all__ = [
     "ChebyshevOutcome",
-    "LinalgBackend",
-    "LinalgBackendError",
     "REFINEMENT_BACKENDS",
-    "available_backends",
     "chebyshev_filter",
     "chebyshev_refine",
-    "get_backend",
     "lanczos_spectral_bound",
     "LaplacianSolver",
-    "conjugate_gradient",
     "jacobi_preconditioner",
     "spanning_tree_preconditioner",
     "laplacian_eigenpairs",

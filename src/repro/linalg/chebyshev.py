@@ -1,17 +1,15 @@
 """Matrix-free Chebyshev-filtered subspace iteration for Laplacian eigenpairs.
 
-The fourth refinement path of the multilevel V-cycle (after LOBPCG, block
-PINVIT and plain Rayleigh-Ritz).  Instead of preconditioned corrections, the
-interpolated basis is passed through a degree-``d`` Chebyshev polynomial
+The second refinement path of the multilevel V-cycle (after LOBPCG; plain
+Rayleigh-Ritz serves token budgets).  Instead of preconditioned corrections,
+the interpolated basis is passed through a degree-``d`` Chebyshev polynomial
 filter ``p(L)`` scaled to damp the unwanted spectral interval ``[a, b]``
 (``b`` = an upper bound on ``lambda_max`` from a few Lanczos steps, ``a`` =
 the largest Ritz value of the current basis) while amplifying the wanted
 low end.  Each filter application costs ``d`` sparse matrix-vector products
 per basis column and *no* triangular solves, which makes it
 
-* **matrix-free**: only ``L @ block`` is needed, so it runs unchanged on any
-  :class:`~repro.linalg.backends.LinalgBackend` (numpy today, cupy when a
-  GPU stack is present);
+* **matrix-free**: only ``L @ block`` is needed;
 * **mixed-precision friendly**: the filter runs in float32 (half the memory
   traffic of the float64 LOBPCG path, and spmm is memory-bound), while
   acceptance runs in float64 — a Rayleigh-Ritz projection of the filtered
@@ -45,7 +43,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.graphs.graph import WeightedGraph
-from repro.linalg.backends import LinalgBackend, get_backend
 from repro.linalg.eigen import rayleigh_ritz
 
 __all__ = [
@@ -133,16 +130,13 @@ def chebyshev_filter(
     degree: int,
     lower: float,
     upper: float,
-    *,
-    backend: LinalgBackend | None = None,
 ):
     """Apply the scaled degree-``degree`` Chebyshev filter ``p(matrix) @ block``.
 
     Damps the interval ``[lower, upper]`` and amplifies eigencomponents below
     ``lower`` (the polynomial is normalised at 0, the Laplacian's low end).
-    ``matrix`` and ``block`` must be backend-native (see
-    :func:`repro.linalg.backends.get_backend`); the computation stays in
-    ``block``'s dtype — float32 blocks get float32 filtering.
+    The computation stays in ``block``'s dtype — float32 blocks get float32
+    filtering.
 
     Examples
     --------
@@ -168,18 +162,16 @@ def chebyshev_filter(
         raise ValueError("degree must be at least 1")
     if not upper > lower > 0:
         raise ValueError("need upper > lower > 0 for the damped interval")
-    if backend is None:
-        backend = get_backend("numpy")
     half_width = (upper - lower) / 2.0
     center = (upper + lower) / 2.0
     # sigma_1 normalises the polynomial at the amplification point 0.
     sigma_one = half_width / (0.0 - center)
     sigma = sigma_one
     prev = block
-    current = (backend.spmm(matrix, block) - center * block) * (sigma_one / half_width)
+    current = (matrix @ block - center * block) * (sigma_one / half_width)
     for _ in range(2, degree + 1):
         sigma_next = 1.0 / (2.0 / sigma_one - sigma)
-        update = backend.spmm(matrix, current) - center * current
+        update = matrix @ current - center * current
         new = (2.0 * sigma_next / half_width) * update - (sigma * sigma_next) * prev
         prev, current = current, new
         sigma = sigma_next
@@ -240,7 +232,6 @@ def chebyshev_refine(
     steps: int = 1,
     degree: int = 10,
     dtype=np.float32,
-    backend: LinalgBackend | str | None = None,
     accept_tol: float = 5e-2,
     bound: float | None = None,
     lanczos_steps: int = 10,
@@ -251,9 +242,8 @@ def chebyshev_refine(
     """Refine an approximate low eigenbasis by filtered subspace iteration.
 
     Runs ``steps`` rounds of (Chebyshev filter -> constant-mode deflation ->
-    QR) in ``dtype`` on the chosen backend, then extracts float64 Ritz pairs
-    with an exact Rayleigh-Ritz projection and computes the acceptance
-    residual.  The low-precision loop can only propose a subspace; the
+    QR) in ``dtype``, then extracts float64 Ritz pairs with an exact
+    Rayleigh-Ritz projection and computes the acceptance residual.  The low-precision loop can only propose a subspace; the
     float64 projection decides what is returned, so an accepted outcome is
     exactly as trustworthy as its residual.
 
@@ -271,9 +261,6 @@ def chebyshev_refine(
         basis column).
     dtype:
         Filtering precision; float32 halves the spmm memory traffic.
-    backend:
-        A :class:`~repro.linalg.backends.LinalgBackend`, a backend name, or
-        None for numpy.
     accept_tol:
         Acceptance threshold on ``residual`` (see
         :class:`ChebyshevOutcome`); NaN/Inf always reject.
@@ -321,13 +308,11 @@ def chebyshev_refine(
     basis = np.asarray(basis, dtype=np.float64).reshape(n, -1)
     if basis.shape[1] < k:
         raise ValueError("basis must have at least k columns")
-    if isinstance(backend, str) or backend is None:
-        backend = get_backend(backend or "numpy")
     if bound is None:
         bound = lanczos_spectral_bound(lap, steps=lanczos_steps, seed=seed)
     bound = float(bound)
 
-    native = backend.sparse(lap, dtype=dtype)
+    native = lap.astype(dtype)
     refined = basis - basis.mean(axis=0, keepdims=True)
 
     def clip_window(value: float) -> float:
@@ -380,15 +365,13 @@ def chebyshev_refine(
         round_degree = int(min(max(degree, gain_degree), max(max_degree, degree)))
         used_degree = max(used_degree, round_degree)
 
-        block = backend.asarray(ritz_vectors[:, :k], dtype=dtype)
-        block = chebyshev_filter(
-            native, block, round_degree, window, bound, backend=backend
-        )
+        block = np.asarray(ritz_vectors[:, :k], dtype=dtype)
+        block = chebyshev_filter(native, block, round_degree, window, bound)
         # Deflate float32 leakage along the constant null vector before the
         # next round amplifies it again (p(0) is the filter's maximum).
         block = block - block.mean(axis=0, keepdims=True)
-        block, _ = backend.qr(block)
-        refined = np.asarray(backend.to_numpy(block), dtype=np.float64)
+        block, _ = np.linalg.qr(block)
+        refined = np.asarray(block, dtype=np.float64)
 
     # Float64 acceptance: exact Rayleigh-Ritz projection + residual check.
     values, vectors = rayleigh_ritz(lap, refined)

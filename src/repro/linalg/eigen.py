@@ -2,22 +2,17 @@
 
 Step 2 of the SGL algorithm needs the first ``r`` nontrivial eigenvectors of
 the current graph Laplacian.  :func:`laplacian_eigenpairs` provides a single
-entry point with three backends:
+entry point with two backends:
 
 * ``"dense"``        -- ``numpy.linalg.eigh`` on the full matrix (small N,
   also the reference the other backends are tested against);
 * ``"shift-invert"`` -- Lanczos (ARPACK ``eigsh``) in shift-invert mode with a
-  tiny positive shift, the workhorse for medium/large sparse Laplacians;
-* ``"lobpcg"``       -- LOBPCG with Jacobi preconditioning and explicit
-  deflation of the all-one null vector, useful when a good initial subspace
-  is available (the multilevel solver uses it for refinement).
+  tiny negative shift, the workhorse for medium/large sparse Laplacians.
 
-Both iterative backends accept ``initial_vectors=`` warm starts for callers
-that already hold approximate eigenvectors — e.g. re-solving after a small
-graph update.  (The incremental engine in :mod:`repro.embedding.engine`
-keeps eigenpair state across the SGL densification loop with its own
-Woodbury-corrected inverse-iteration ladder, and falls back to these
-entry points for cold solves.)
+The incremental engine in :mod:`repro.embedding.engine` keeps eigenpair
+state across the SGL densification loop with its own Woodbury-corrected
+inverse-iteration ladder, and falls back to this entry point for cold
+solves.
 
 The trivial eigenpair (eigenvalue 0, constant eigenvector) is dropped by
 default, matching the paper's use of ``u_2 ... u_r``.
@@ -84,113 +79,17 @@ def _shift_invert_eigenpairs(
     k: int,
     tol: float,
     seed: int | None,
-    initial_vectors: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     n = lap.shape[0]
     # Shift-invert around a tiny negative sigma keeps (L - sigma I) SPD and
     # factorisable even though L itself is singular.
     scale = float(lap.diagonal().max()) if n else 1.0
     sigma = -1e-6 * max(scale, 1.0)
-    if initial_vectors is not None and initial_vectors.size:
-        # ARPACK accepts a single starting vector; a good warm start is the
-        # sum of the previous eigenvectors (it overlaps every wanted mode).
-        v0 = np.asarray(initial_vectors, dtype=np.float64).reshape(n, -1).sum(axis=1)
-        norm = np.linalg.norm(v0)
-        if not norm > 0:
-            v0 = np.random.default_rng(seed).standard_normal(n)
-        else:
-            # Blend in the constant mode: warm vectors are typically the
-            # *nontrivial* eigenvectors (orthogonal to the all-one vector),
-            # but shift-invert Lanczos must also resolve the trivial pair —
-            # starting orthogonal to it would leave its convergence to
-            # round-off leakage alone.
-            v0 = v0 + (norm / np.sqrt(n)) * np.ones(n)
-    else:
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(n)
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(n)
     values, vectors = spla.eigsh(
         lap.tocsc(), k=min(k, n - 1), sigma=sigma, which="LM", tol=tol, v0=v0
     )
-    order = np.argsort(values)
-    return values[order], vectors[:, order]
-
-
-def _lobpcg_eigenpairs(
-    lap: sp.csr_matrix,
-    k: int,
-    tol: float,
-    seed: int | None,
-    initial_vectors: np.ndarray | None,
-    maxiter: int | None = None,
-    locked_vectors: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    n = lap.shape[0]
-    if initial_vectors is None:
-        rng = np.random.default_rng(seed)
-        initial_vectors = rng.standard_normal((n, k))
-    else:
-        initial_vectors = np.asarray(initial_vectors, dtype=np.float64).reshape(n, -1)
-        if initial_vectors.shape[1] < k:
-            rng = np.random.default_rng(seed)
-            extra = rng.standard_normal((n, k - initial_vectors.shape[1]))
-            initial_vectors = np.hstack([initial_vectors, extra])
-        elif initial_vectors.shape[1] > k:
-            initial_vectors = initial_vectors[:, :k]
-    ones = np.ones((n, 1)) / np.sqrt(n)
-    constraints = ones
-    if locked_vectors is not None and np.size(locked_vectors):
-        locked = np.asarray(locked_vectors, dtype=np.float64).reshape(n, -1)
-        constraints = np.hstack([ones, locked])
-        # Start the iteration in the orthogonal complement of the locked block.
-        initial_vectors = initial_vectors - locked @ (locked.T @ initial_vectors)
-    diag = lap.diagonal()
-    inv_diag = np.where(diag > 0, 1.0 / np.maximum(diag, 1e-300), 0.0)
-    precond = spla.LinearOperator(
-        (n, n), matvec=lambda v: inv_diag * np.asarray(v).reshape(-1)
-    )
-    values, vectors = spla.lobpcg(
-        lap,
-        initial_vectors,
-        M=precond,
-        Y=constraints,
-        tol=tol if tol > 0 else 1e-8,
-        maxiter=maxiter if maxiter is not None else max(200, 4 * k),
-        largest=False,
-    )
-    order = np.argsort(values)
-    return values[order], vectors[:, order]
-
-
-def _locked_eigenpairs(
-    lap: sp.csr_matrix,
-    k: int,
-    locked_vectors: np.ndarray,
-    tol: float,
-    seed: int | None,
-    initial_vectors: np.ndarray | None,
-    maxiter: int | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deflated solve: freeze converged eigenvectors, compute only the rest.
-
-    The locked block is orthonormalised and kept verbatim (its eigenvalues
-    are re-read as Rayleigh quotients); the remaining pairs are computed by
-    LOBPCG constrained to the orthogonal complement of the locked block and
-    the constant vector, then the two sets are merged in ascending order.
-    """
-    n = lap.shape[0]
-    locked, _ = np.linalg.qr(
-        np.asarray(locked_vectors, dtype=np.float64).reshape(n, -1)
-    )
-    locked_values = np.einsum("ij,ij->j", locked, lap @ locked)
-    remaining = k - locked.shape[1]
-    if remaining <= 0:
-        order = np.argsort(locked_values)[:k]
-        return locked_values[order], locked[:, order]
-    new_values, new_vectors = _lobpcg_eigenpairs(
-        lap, remaining, tol, seed, initial_vectors, maxiter, locked_vectors=locked
-    )
-    values = np.concatenate([locked_values, new_values[:remaining]])
-    vectors = np.hstack([locked, new_vectors[:, :remaining]])
     order = np.argsort(values)
     return values[order], vectors[:, order]
 
@@ -199,13 +98,10 @@ def laplacian_eigenpairs(
     graph_or_laplacian: WeightedGraph | sp.spmatrix | np.ndarray,
     k: int,
     *,
-    method: Literal["auto", "dense", "shift-invert", "lobpcg"] = "auto",
+    method: Literal["auto", "dense", "shift-invert"] = "auto",
     drop_trivial: bool = True,
     tol: float = 0.0,
     seed: int | None = 0,
-    initial_vectors: np.ndarray | None = None,
-    maxiter: int | None = None,
-    locked_vectors: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Smallest Laplacian eigenpairs, ascending.
 
@@ -226,25 +122,7 @@ def laplacian_eigenpairs(
     tol:
         Backend tolerance (0 means backend default / machine precision).
     seed:
-        Seed for the iterative backends' random starting vectors.
-    initial_vectors:
-        Optional ``(N, k)`` warm-start subspace for the iterative backends.
-        The LOBPCG backend uses it as its full initial block (padding with
-        random columns when fewer than ``k`` are supplied); the shift-invert
-        backend collapses it into its single ARPACK starting vector (with a
-        constant-mode component blended in so the trivial pair stays
-        reachable).
-    maxiter:
-        Iteration cap for the LOBPCG backend (default ``max(200, 4k)``).
-        Warm-started calls typically pass a small cap since they only need a
-        few iterations to re-converge.
-    locked_vectors:
-        Optional ``(N, m)`` block of already-converged nontrivial
-        eigenvectors to *lock*: they are returned verbatim (eigenvalues
-        re-read as Rayleigh quotients) and only the remaining ``k - m``
-        pairs are computed, by LOBPCG constrained to their orthogonal
-        complement.  Requires ``drop_trivial=True`` (the locked block is
-        assumed orthogonal to the constant vector).
+        Seed for the shift-invert backend's random starting vector.
 
     Returns
     -------
@@ -266,29 +144,6 @@ def laplacian_eigenpairs(
     [1.0, 3.0]
     >>> vectors.shape
     (3, 2)
-
-    Warm-starting LOBPCG from already-converged vectors reproduces them:
-
-    >>> from repro.graphs.generators import grid_2d
-    >>> grid = grid_2d(5, 5)
-    >>> exact, exact_vectors = laplacian_eigenpairs(grid, 2, method="dense")
-    >>> warm, _ = laplacian_eigenpairs(
-    ...     grid, 2, method="lobpcg", initial_vectors=exact_vectors, maxiter=10
-    ... )
-    >>> bool(np.allclose(warm, exact, atol=1e-6))
-    True
-
-    Locked vectors are frozen: they come back verbatim and only the missing
-    pairs are solved for in their orthogonal complement:
-
-    >>> exact3, exact3_vectors = laplacian_eigenpairs(grid, 3, method="dense")
-    >>> locked_vals, locked_vecs = laplacian_eigenpairs(
-    ...     grid, 3, locked_vectors=exact3_vectors[:, :2]
-    ... )
-    >>> bool(np.allclose(locked_vecs[:, :2], exact3_vectors[:, :2]))
-    True
-    >>> bool(np.allclose(locked_vals, exact3, atol=1e-5))
-    True
     """
     lap = _as_laplacian(graph_or_laplacian).tocsr()
     n = lap.shape[0]
@@ -296,12 +151,6 @@ def laplacian_eigenpairs(
         raise ValueError("need at least two nodes for nontrivial eigenpairs")
     if k < 1:
         raise ValueError("k must be at least 1")
-    if locked_vectors is not None and np.size(locked_vectors):
-        if not drop_trivial:
-            raise ValueError("locked_vectors requires drop_trivial=True")
-        return _locked_eigenpairs(
-            lap, k, locked_vectors, tol, seed, initial_vectors, maxiter
-        )
 
     n_wanted = k + 1 if drop_trivial else k
     n_wanted = min(n_wanted, n)
@@ -312,14 +161,7 @@ def laplacian_eigenpairs(
     if method == "dense":
         values, vectors = _dense_eigenpairs(lap, n_wanted)
     elif method == "shift-invert":
-        values, vectors = _shift_invert_eigenpairs(lap, n_wanted, tol, seed, initial_vectors)
-    elif method == "lobpcg":
-        if drop_trivial:
-            # LOBPCG deflates the constant vector explicitly, so it already
-            # returns nontrivial pairs; request exactly k of them.
-            values, vectors = _lobpcg_eigenpairs(lap, k, tol, seed, initial_vectors, maxiter)
-            return values[:k], vectors[:, :k]
-        values, vectors = _lobpcg_eigenpairs(lap, n_wanted, tol, seed, initial_vectors, maxiter)
+        values, vectors = _shift_invert_eigenpairs(lap, n_wanted, tol, seed)
     else:
         raise ValueError(f"unknown method {method!r}")
 

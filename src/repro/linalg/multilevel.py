@@ -6,21 +6,17 @@ the graph is coarsened by heavy-edge matching until it is small, the dense
 eigenproblem is solved at the coarsest level, the eigenvectors are
 interpolated back level by level and smoothed/refined on each finer level.
 
-Three refinement backends are available.  The first two reuse the library's
-existing preconditioning machinery (:func:`repro.linalg.jacobi_preconditioner`,
-:func:`repro.linalg.spanning_tree_preconditioner`):
+Two refinement backends are available:
 
-* ``"lobpcg"`` -- a few LOBPCG iterations per level with the chosen
-  preconditioner and explicit deflation of the constant vector;
-* ``"inverse-power"`` -- block preconditioned inverse iteration (PINVIT):
-  each sweep applies the preconditioner to the eigen-residual block and
-  re-extracts Ritz pairs with :func:`repro.linalg.eigen.rayleigh_ritz`,
-  freezing (locking) converged Ritz vectors out of later sweeps;
+* ``"lobpcg"`` -- a few LOBPCG iterations per level with the library's
+  preconditioners (:func:`repro.linalg.jacobi_preconditioner`,
+  :func:`repro.linalg.spanning_tree_preconditioner`) and explicit deflation
+  of the constant vector;
 * ``"chebyshev"`` -- matrix-free mixed-precision Chebyshev-filtered subspace
-  iteration (:mod:`repro.linalg.chebyshev`): float32 filtering on a pluggable
-  :mod:`repro.linalg.backends` compute backend, float64 Rayleigh-Ritz
-  acceptance, automatic fall back to the float64 LOBPCG path when the
-  acceptance residual fails (counted in :attr:`MultilevelResult.refine_stats`).
+  iteration (:mod:`repro.linalg.chebyshev`): float32 filtering, float64
+  Rayleigh-Ritz acceptance, automatic fall back to the float64 LOBPCG path
+  when the acceptance residual fails (counted in
+  :attr:`MultilevelResult.refine_stats`).
 
 In practice this gives accurate leading eigenvectors at a cost dominated by a
 handful of sparse matrix-vector products per level -- i.e. near-linear in the
@@ -42,7 +38,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.graphs.graph import WeightedGraph
-from repro.linalg.backends import LinalgBackend, get_backend
 from repro.linalg.chebyshev import chebyshev_refine
 from repro.linalg.coarsening import CoarseningHierarchy, coarsening_hierarchy
 from repro.linalg.eigen import laplacian_eigenpairs, rayleigh_ritz
@@ -55,7 +50,7 @@ __all__ = ["MultilevelEigensolver", "MultilevelResult", "REFINEMENT_BACKENDS"]
 
 #: Refinement backends accepted by :class:`MultilevelEigensolver`,
 #: ``SGLConfig.refinement_backend`` and ``repro.bench run --refinement-backend``.
-REFINEMENT_BACKENDS: tuple[str, ...] = ("lobpcg", "inverse-power", "chebyshev")
+REFINEMENT_BACKENDS: tuple[str, ...] = ("lobpcg", "chebyshev")
 
 
 @dataclass(frozen=True)
@@ -68,25 +63,13 @@ class MultilevelResult:
     acceptance residual passed / failed after filtering / were detected as
     polynomial-intractable up front and routed straight to float64 LOBPCG
     without paying any filter cost), the largest acceptance ``residual``,
-    the ``filter_degree`` and filtering ``dtype``; the inverse-power
-    backend adds ``locked`` (Ritz vectors frozen by the PINVIT convergence
-    lock, summed over levels and sweeps).
+    the ``filter_degree`` and filtering ``dtype``.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     level_sizes: tuple[int, ...]
     refine_stats: dict = field(default_factory=dict)
-
-
-def _apply_columns(
-    apply: Callable[[np.ndarray], np.ndarray], block: np.ndarray
-) -> np.ndarray:
-    """Apply a vector preconditioner to every column of a block."""
-    out = np.empty_like(block)
-    for j in range(block.shape[1]):
-        out[:, j] = apply(block[:, j])
-    return out
 
 
 class MultilevelEigensolver:
@@ -102,10 +85,9 @@ class MultilevelEigensolver:
         interpolation.  ``0`` falls back to a single Rayleigh-Ritz
         projection per level (cheapest, least accurate).
     refinement:
-        ``"lobpcg"`` (default), ``"inverse-power"`` (block PINVIT sweeps
-        built from :func:`~repro.linalg.eigen.rayleigh_ritz`) or
-        ``"chebyshev"`` (mixed-precision Chebyshev-filtered subspace
-        iteration; see :func:`repro.linalg.chebyshev.chebyshev_refine`).
+        ``"lobpcg"`` (default) or ``"chebyshev"`` (mixed-precision
+        Chebyshev-filtered subspace iteration; see
+        :func:`repro.linalg.chebyshev.chebyshev_refine`).
     preconditioner:
         ``"jacobi"`` (default; diagonal scaling) or ``"spanning-tree"``
         (support-graph preconditioning with the level's maximum spanning
@@ -115,18 +97,11 @@ class MultilevelEigensolver:
         Filtering precision for the chebyshev backend (``"float32"``
         default, ``"float64"`` for a full-precision filter); the
         Rayleigh-Ritz acceptance step is always float64.
-    linalg_backend:
-        Compute backend name for the chebyshev filter, resolved through
-        :func:`repro.linalg.backends.get_backend` (``"numpy"`` default,
-        ``"auto"`` prefers cupy when importable).
     chebyshev_degree:
         Polynomial degree of each filter application.
     chebyshev_accept_tol:
         Bound-normalised residual above which a chebyshev-refined level is
         rejected and re-refined by the float64 LOBPCG path.
-    lock_tol:
-        Relative eigen-residual below which the PINVIT loop locks a Ritz
-        vector (freezes it out of subsequent correction sweeps).
     max_levels, min_coarsening_ratio:
         Hierarchy stopping controls forwarded to
         :func:`~repro.linalg.coarsening.coarsening_hierarchy`.
@@ -175,13 +150,11 @@ class MultilevelEigensolver:
         *,
         coarse_size: int = 200,
         refinement_steps: int = 10,
-        refinement: Literal["lobpcg", "inverse-power", "chebyshev"] = "lobpcg",
+        refinement: Literal["lobpcg", "chebyshev"] = "lobpcg",
         preconditioner: Literal["jacobi", "spanning-tree"] = "jacobi",
         refine_dtype: str = "float32",
-        linalg_backend: str = "numpy",
         chebyshev_degree: int = 10,
         chebyshev_accept_tol: float = 5e-2,
-        lock_tol: float = 1e-6,
         max_levels: int = 30,
         min_coarsening_ratio: float = 0.9,
         seed: int | None = 0,
@@ -201,21 +174,11 @@ class MultilevelEigensolver:
         self.refinement = refinement
         self.preconditioner = preconditioner
         self.refine_dtype = np.dtype(refine_dtype)
-        self.linalg_backend = str(linalg_backend)
         self.chebyshev_degree = int(chebyshev_degree)
         self.chebyshev_accept_tol = float(chebyshev_accept_tol)
-        self.lock_tol = float(lock_tol)
         self.max_levels = int(max_levels)
         self.min_coarsening_ratio = float(min_coarsening_ratio)
         self.seed = seed
-        self._backend: LinalgBackend | None = None
-
-    @property
-    def backend(self) -> LinalgBackend:
-        """The resolved :class:`~repro.linalg.backends.LinalgBackend` (lazy)."""
-        if self._backend is None:
-            self._backend = get_backend(self.linalg_backend)
-        return self._backend
 
     # ------------------------------------------------------------------
     def build_hierarchy(self, graph: WeightedGraph) -> CoarseningHierarchy:
@@ -290,44 +253,6 @@ class MultilevelEigensolver:
         order = np.argsort(values)
         return np.asarray(values)[order][:k], np.asarray(vectors)[:, order][:, :k]
 
-    def _refine_pinvit(
-        self,
-        laplacian: sp.csr_matrix,
-        basis: np.ndarray,
-        apply: Callable[[np.ndarray], np.ndarray],
-        k: int,
-        steps: int,
-    ) -> tuple[np.ndarray, np.ndarray, dict]:
-        """Block preconditioned inverse iteration (PINVIT) with Rayleigh-Ritz.
-
-        Each sweep corrects the block by the preconditioned eigen-residual
-        ``V <- V - M^+ (L V - V diag(theta))`` and re-extracts Ritz pairs
-        from the span of the old and corrected blocks.  Ritz vectors whose
-        relative eigen-residual falls below ``lock_tol`` are *locked*:
-        they stay in the Rayleigh-Ritz subspace (so later extractions keep
-        orthogonality against them) but no correction column is computed
-        for them, saving a preconditioner apply per locked column per sweep.
-        """
-        values, vectors = rayleigh_ritz(laplacian, basis)
-        values, vectors = values[:k], vectors[:, :k]
-        locked_sweeps = 0
-        for _ in range(steps):
-            residual = laplacian @ vectors - vectors * values[None, :]
-            res_norms = np.linalg.norm(residual, axis=0)
-            # Residual scale relative to the largest retained Ritz value (a
-            # shared scale, so a near-zero eigenvalue cannot lock on noise).
-            scale = max(float(values[-1]), np.finfo(np.float64).tiny)
-            active = res_norms > self.lock_tol * scale
-            locked_sweeps += int(k - np.count_nonzero(active))
-            if not active.any():
-                break
-            correction = _apply_columns(apply, residual[:, active])
-            candidate = np.hstack([vectors, vectors[:, active] - correction])
-            candidate -= candidate.mean(axis=0, keepdims=True)
-            values, vectors = rayleigh_ritz(laplacian, candidate)
-            values, vectors = values[:k], vectors[:, :k]
-        return values, vectors, {"locked": locked_sweeps}
-
     def _refine_chebyshev(
         self,
         graph: WeightedGraph,
@@ -339,7 +264,7 @@ class MultilevelEigensolver:
     ) -> tuple[np.ndarray, np.ndarray, dict]:
         """Mixed-precision Chebyshev filtering with float64 acceptance.
 
-        The per-level ``steps`` budget (sized for LOBPCG/PINVIT sweeps) maps
+        The per-level ``steps`` budget (sized for LOBPCG sweeps) maps
         to filter rounds at roughly one round per five sweeps — a single
         adaptive-degree filter application replaces several preconditioned
         iterations.  Budgets below one round (the token smoothing a warm
@@ -372,7 +297,6 @@ class MultilevelEigensolver:
             steps=rounds,
             degree=self.chebyshev_degree,
             dtype=self.refine_dtype,
-            backend=self.backend,
             accept_tol=self.chebyshev_accept_tol,
             max_degree=max_degree,
             degree_headroom=self.CHEBYSHEV_DEGREE_HEADROOM,
@@ -434,8 +358,6 @@ class MultilevelEigensolver:
             return self._refine_chebyshev(graph, laplacian, basis, apply, k, steps)
         if apply is None:
             apply = self._preconditioner_apply(graph, laplacian)
-        if refinement == "inverse-power":
-            return self._refine_pinvit(laplacian, basis, apply, k, steps)
         values, vectors = self._refine_lobpcg(laplacian, basis, apply, k, steps)
         return values, vectors, {}
 
@@ -534,7 +456,7 @@ class MultilevelEigensolver:
                 fine_graph, basis, k, apply, steps, refinement
             )
             stats["levels"] += 1
-            for key in ("accepts", "fallbacks", "bypasses", "locked"):
+            for key in ("accepts", "fallbacks", "bypasses"):
                 if key in info:
                     stats[key] = stats.get(key, 0) + info[key]
             if "residual" in info:

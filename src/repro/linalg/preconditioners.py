@@ -1,4 +1,4 @@
-"""Preconditioners for Laplacian conjugate-gradient solves.
+"""Preconditioners for the multilevel eigensolver's LOBPCG refinement.
 
 Two classical choices are provided:
 

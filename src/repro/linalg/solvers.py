@@ -1,4 +1,4 @@
-"""Direct and iterative solvers for graph Laplacian systems.
+"""Direct solver for graph Laplacian systems.
 
 A connected graph Laplacian ``L`` is singular with null space spanned by the
 all-one vector, so ``L x = b`` only has solutions when ``b`` sums to zero, and
@@ -6,27 +6,19 @@ the solution is unique only up to an additive constant.  The canonical choice
 used throughout the library (and implicitly by the paper via the Moore-Penrose
 pseudo-inverse) is the *mean-free* solution ``x = L^+ b``.
 
-:class:`LaplacianSolver` wraps this convention around two backends:
-
-* ``"direct"`` -- ground one node, factorise the reduced SPD matrix once with
-  SuperLU and reuse the factorisation for many right-hand sides (this is what
-  Step 5 of the SGL algorithm needs: one factorisation, ``M`` solves);
-* ``"cg"``     -- preconditioned conjugate gradients on the full singular
-  system with iterates kept orthogonal to the null space, for very large
-  graphs where a factorisation would be too expensive.
+:class:`LaplacianSolver` wraps this convention around a grounded sparse LU:
+it grounds one node, factorises the reduced SPD matrix once with SuperLU and
+reuses the factorisation for many right-hand sides (this is what Step 5 of
+the SGL algorithm needs: one factorisation, ``M`` solves).
 """
 
 from __future__ import annotations
-
-from typing import Literal
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.graphs.graph import WeightedGraph
-from repro.linalg.conjugate_gradient import conjugate_gradient
-from repro.linalg.preconditioners import jacobi_preconditioner
 
 __all__ = ["LaplacianSolver", "grounded_splu"]
 
@@ -71,14 +63,9 @@ class LaplacianSolver:
         A :class:`~repro.graphs.WeightedGraph` or a sparse/dense Laplacian.
         The graph must be connected; otherwise solutions are not well defined
         and a :class:`ValueError` is raised.
-    method:
-        ``"direct"`` (default, grounded sparse LU), or ``"cg"`` (Jacobi
-        preconditioned conjugate gradients).
     ground_node:
-        Node eliminated by the direct method.  Any node works; exposed mainly
-        for tests.
-    cg_tol, cg_max_iter:
-        Convergence controls for the ``"cg"`` backend.
+        Node eliminated from the factorisation.  Any node works; exposed
+        mainly for tests.
 
     Examples
     --------
@@ -98,10 +85,7 @@ class LaplacianSolver:
         self,
         graph_or_laplacian: WeightedGraph | sp.spmatrix | np.ndarray,
         *,
-        method: Literal["direct", "cg"] = "direct",
         ground_node: int = 0,
-        cg_tol: float = 1e-10,
-        cg_max_iter: int | None = None,
     ) -> None:
         laplacian = _as_laplacian(graph_or_laplacian).tocsr()
         n = laplacian.shape[0]
@@ -120,22 +104,13 @@ class LaplacianSolver:
             )
         if not 0 <= ground_node < n:
             raise ValueError("ground_node out of range")
-        if method not in {"direct", "cg"}:
-            raise ValueError("method must be 'direct' or 'cg'")
 
         self._laplacian = laplacian
         self._n = n
-        self._method = method
         self._ground = int(ground_node)
-        self._cg_tol = float(cg_tol)
-        self._cg_max_iter = cg_max_iter
         self._lu: spla.SuperLU | None = None
         self._keep: np.ndarray | None = None
-        self._preconditioner = None
-        if method == "direct":
-            self._factorize()
-        else:
-            self._preconditioner = jacobi_preconditioner(laplacian)
+        self._factorize()
 
     # ------------------------------------------------------------------
     @property
@@ -147,11 +122,6 @@ class LaplacianSolver:
     def laplacian(self) -> sp.csr_matrix:
         """The Laplacian being solved (read-only reference)."""
         return self._laplacian
-
-    @property
-    def method(self) -> str:
-        """Backend in use (``"direct"`` or ``"cg"``)."""
-        return self._method
 
     # ------------------------------------------------------------------
     def _factorize(self) -> None:
@@ -171,23 +141,8 @@ class LaplacianSolver:
         b = b - b.mean()
         if self._n == 1:
             return np.zeros(1)
-        if self._method == "direct":
-            x = np.zeros(self._n)
-            x[self._keep] = self._lu.solve(b[self._keep])
-            return _remove_mean(x)
-        x, info = conjugate_gradient(
-            self._laplacian,
-            b,
-            tol=self._cg_tol,
-            max_iter=self._cg_max_iter,
-            preconditioner=self._preconditioner,
-            project_nullspace=True,
-        )
-        if not info.converged:
-            raise RuntimeError(
-                f"CG failed to converge within {info.iterations} iterations "
-                f"(residual {info.residual_norm:.3e})"
-            )
+        x = np.zeros(self._n)
+        x[self._keep] = self._lu.solve(b[self._keep])
         return _remove_mean(x)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -196,26 +151,21 @@ class LaplacianSolver:
         ``rhs`` may be a vector of length ``N`` or a matrix ``(N, M)`` of
         right-hand-side columns.  Right-hand sides are projected onto the
         zero-sum subspace first, matching the pseudo-inverse solution
-        ``L^+ rhs``.  With the direct backend a matrix right-hand side is
-        dispatched to SuperLU as *one* multi-RHS triangular solve — the
-        factorisation is traversed once for the whole block instead of once
-        per column, which is what makes the batched effective-resistance
-        queries of :mod:`repro.serve` profitable.
+        ``L^+ rhs``.  A matrix right-hand side is dispatched to SuperLU as
+        *one* multi-RHS triangular solve — the factorisation is traversed
+        once for the whole block instead of once per column, which is what
+        makes the batched effective-resistance queries of :mod:`repro.serve`
+        profitable.
         """
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.ndim == 1:
             return self._solve_vector(rhs)
         if rhs.ndim != 2 or rhs.shape[0] != self._n:
             raise ValueError(f"rhs must have shape ({self._n},) or ({self._n}, M)")
-        if self._method == "direct":
-            return self._solve_block(rhs)
-        out = np.empty_like(rhs)
-        for j in range(rhs.shape[1]):
-            out[:, j] = self._solve_vector(rhs[:, j])
-        return out
+        return self._solve_block(rhs)
 
     def _solve_block(self, rhs: np.ndarray) -> np.ndarray:
-        """Direct-backend multi-RHS solve: one SuperLU call per block.
+        """Multi-RHS solve: one SuperLU call per block.
 
         Column-wise identical to looping :meth:`_solve_vector` (SuperLU
         back-substitutes each column independently); only the traversal
@@ -232,10 +182,8 @@ class LaplacianSolver:
         """Solve with the ground node pinned to ``ground_value`` instead of mean-free.
 
         This mirrors how circuit simulators report node voltages relative to a
-        ground reference.  Only available with the direct backend.
+        ground reference.
         """
-        if self._method != "direct":
-            raise RuntimeError("solve_grounded requires the 'direct' backend")
         x = self._solve_vector(rhs)
         return x - x[self._ground] + ground_value
 

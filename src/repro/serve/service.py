@@ -96,6 +96,30 @@ class ServiceClosedError(RuntimeError):
     """Raised by queries submitted to (or stranded in) a closed service."""
 
 
+def _check_node(node, n_nodes: int) -> None:
+    # bool is an int subclass, but True is not a node id.
+    if isinstance(node, bool) or not isinstance(node, (int, np.integer)):
+        raise ValueError(f"node ids must be integers, got {node!r}")
+    if not 0 <= node < n_nodes:
+        raise ValueError(f"node id {node} out of range for {n_nodes} nodes")
+
+
+def _check_payload(kind: str, payload, n_nodes: int) -> None:
+    """Raise ``ValueError`` unless ``payload`` is a valid ``kind`` query.
+
+    Runs per request, before the request joins a batch, so one bad payload
+    fails only its own request and never truncates silently (the batch
+    casts payloads to ``int64``).
+    """
+    if kind != "resistance":
+        _check_node(payload, n_nodes)
+        return
+    if not isinstance(payload, (tuple, list, np.ndarray)) or len(payload) != 2:
+        raise ValueError(f"a resistance query takes one (s, t) pair, got {payload!r}")
+    _check_node(payload[0], n_nodes)
+    _check_node(payload[1], n_nodes)
+
+
 def _json_default(value):
     """``json.dumps(..., default=...)`` hook for numpy scalars and arrays."""
     if isinstance(value, np.integer):
@@ -506,7 +530,11 @@ class GraphService:
 
         Returns an awaitable — an :class:`asyncio.Future` on the cache-hit
         fast path (no per-request coroutine or task), a coroutine when the
-        session must first be loaded on the loader pool.  Must be called
+        session must first be loaded on the loader pool.  Awaiting it raises
+        ``ValueError`` when ``payload`` is malformed: node ids must be
+        integers (not ``bool``, ``float`` or ``str``) in ``[0, n_nodes)``,
+        and a resistance payload is one ``(s, t)`` pair.  Only that request
+        fails; the requests batched beside it are answered.  Must be called
         with a running event loop.  Results are numpy scalars / row views;
         convert at your boundary if you need builtins.
         """
@@ -528,6 +556,12 @@ class GraphService:
         # Relaxed: only the event-loop thread takes the hit path, and the
         # locked increment is measurable at 100k q/s.
         self._hits.inc_relaxed()
+        try:
+            _check_payload(kind, payload, session.n_nodes)
+        except ValueError as exc:
+            failed = asyncio.get_running_loop().create_future()
+            failed.set_exception(exc)
+            return failed
         return self._batcher.submit_nowait(
             (session.checksum, kind, key_options), (session, payload)
         )
@@ -538,6 +572,7 @@ class GraphService:
         # starve the compute workers executing batches.
         loop = asyncio.get_running_loop()
         session = await loop.run_in_executor(self._loader, self.session, path)
+        _check_payload(kind, payload, session.n_nodes)
         return await self._batcher.submit_nowait(
             (session.checksum, kind, key_options), (session, payload)
         )
@@ -653,7 +688,7 @@ async def _execute_request(
         if not isinstance(pairs, list) or not pairs:
             raise ValueError("'resistance' requests need a non-empty 'pairs' list")
         results = await asyncio.gather(
-            *(service.query(path, "resistance", tuple(pair)) for pair in pairs)
+            *(service.query(path, "resistance", pair) for pair in pairs)
         )
         return {"ok": True}, np.asarray(results, dtype=np.float64)
     if kind == "neighbors":
@@ -662,7 +697,7 @@ async def _execute_request(
             raise ValueError("'neighbors' requests need a non-empty 'nodes' list")
         k = int(request.get("k", 5))
         results = await asyncio.gather(
-            *(service.query(path, "neighbors", int(node), k=k) for node in nodes)
+            *(service.query(path, "neighbors", node, k=k) for node in nodes)
         )
         return {"ok": True}, np.asarray(results, dtype=np.int64)
     if kind == "labels":
@@ -672,7 +707,7 @@ async def _execute_request(
         n_clusters = int(request.get("n_clusters", 8))
         results = await asyncio.gather(
             *(
-                service.query(path, "labels", int(node), n_clusters=n_clusters)
+                service.query(path, "labels", node, n_clusters=n_clusters)
                 for node in nodes
             )
         )

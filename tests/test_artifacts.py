@@ -212,6 +212,31 @@ class TestValidation:
         with pytest.raises(ArtifactFormatError, match="schema"):
             load_result(bad)
 
+    def test_stored_compute_backend_field_is_dropped(self, learned, tmp_path):
+        # Artifacts written before the compute-backend seam was removed carry
+        # a ``linalg_backend`` key in their stored config.
+        path = save_result(learned, tmp_path / "m.npz")
+        old = self._with_meta(
+            path,
+            tmp_path / "old.npz",
+            lambda m: {**m, "config": {**m["config"], "linalg_backend": "numpy"}},
+        )
+        artifact = load_result(old)
+        assert artifact.config == learned.config
+        assert np.array_equal(artifact.graph.rows, learned.graph.rows)
+        assert np.array_equal(artifact.graph.cols, learned.graph.cols)
+        assert np.array_equal(artifact.graph.weights, learned.graph.weights)
+
+    def test_removed_config_value_rejected(self, learned, tmp_path):
+        path = save_result(learned, tmp_path / "m.npz")
+        bad = self._with_meta(
+            path,
+            tmp_path / "nsw.npz",
+            lambda m: {**m, "config": {**m["config"], "knn_backend": "nsw"}},
+        )
+        with pytest.raises(ArtifactFormatError, match="knn_backend"):
+            load_result(bad)
+
     def test_wrong_dtype_rejected(self, learned, tmp_path):
         path = save_result(learned, tmp_path / "m.npz")
 

@@ -184,6 +184,17 @@ def test_compare_flags_quality_regression(tiny_records):
     assert any(reg.kind == "quality" for reg in report.regressions)
 
 
+def test_compare_gates_density_independently_of_time_threshold():
+    # CI compares against committed records with a loose 9x time threshold;
+    # a learned graph twice as dense must still fail.
+    baseline = make_artifact("unit", [_synthetic_record(1.0)])
+    denser = _synthetic_record(1.0)
+    denser["quality"]["density"] = 2.0
+    report = compare(baseline, make_artifact("unit", [denser]), time_threshold=9.0)
+    assert [reg.kind for reg in report.regressions] == ["density"]
+    assert compare(baseline, baseline, time_threshold=9.0).ok
+
+
 def test_compare_treats_new_scenarios_as_notes(tiny_records):
     baseline = make_artifact("unit", tiny_records[:1])
     candidate = make_artifact("unit", tiny_records)

@@ -1,12 +1,9 @@
-"""Chebyshev-filtered refinement, linalg backends, locking and sketching.
+"""Chebyshev-filtered refinement and sketching.
 
 Covers the mixed-precision refinement stack end to end:
 
-* :mod:`repro.linalg.backends` -- protocol conformance, availability
-  reporting, graceful degradation when cupy is absent;
 * :func:`chebyshev_filter` / :func:`chebyshev_refine` -- filtering accuracy,
   the polynomial-intractable window bypass, residual acceptance semantics;
-* eigenpair locking in :func:`laplacian_eigenpairs` and the PINVIT sweep;
 * the Hutchinson-style stochastic sensitivity estimator;
 * the mixed-precision acceptance gates: the chebyshev engine's embedding
   agrees with the stateless reference (subspace angle), and float32 /
@@ -28,13 +25,6 @@ from repro.embedding import MultilevelEmbeddingEngine, spectral_embedding_matrix
 from repro.embedding.spectral import SpectralEmbedding
 from repro.graphs.generators import grid_2d
 from repro.linalg import MultilevelEigensolver, laplacian_eigenpairs
-from repro.linalg.backends import (
-    BACKEND_NAMES,
-    LinalgBackend,
-    LinalgBackendError,
-    available_backends,
-    get_backend,
-)
 from repro.linalg.chebyshev import (
     chebyshev_filter,
     chebyshev_refine,
@@ -52,52 +42,6 @@ def _near_tree_graph():
 
     tree = maximum_spanning_tree(weighted)
     return tree.add_edges([(0, 255), (17, 200), (40, 120)], [1.0, 1.0, 1.0])
-
-
-# ----------------------------------------------------------------------
-# Backends
-# ----------------------------------------------------------------------
-def test_numpy_backend_always_available_and_default():
-    assert available_backends()["numpy"] is True
-    assert get_backend("numpy").name == "numpy"
-    assert set(available_backends()) <= set(BACKEND_NAMES)
-
-
-def test_unknown_backend_raises_with_available_names():
-    with pytest.raises(LinalgBackendError, match="numpy"):
-        get_backend("tpu")
-
-
-def test_cupy_absence_degrades_gracefully():
-    availability = available_backends()
-    assert "cupy" in availability
-    if availability["cupy"]:
-        assert get_backend("cupy").name == "cupy"
-    else:
-        # Explicit requests fail loudly with an actionable message...
-        with pytest.raises(LinalgBackendError, match="cupy"):
-            get_backend("cupy")
-    # ...while "auto" always resolves to something usable.
-    assert get_backend("auto").name in {"numpy", "cupy"}
-
-
-def test_numpy_backend_satisfies_protocol_and_primitives():
-    backend = get_backend("numpy")
-    assert isinstance(backend, LinalgBackend)
-    rng = np.random.default_rng(0)
-    block = rng.standard_normal((20, 3))
-    q, r = backend.qr(backend.asarray(block))
-    np.testing.assert_allclose(q @ r, block, atol=1e-12)
-    sym = block.T @ block
-    values, vectors = backend.eigh(sym)
-    np.testing.assert_allclose(vectors @ np.diag(values) @ vectors.T, sym, atol=1e-10)
-    rhs = rng.standard_normal(3)
-    np.testing.assert_allclose(sym @ backend.solve(sym, rhs), rhs, atol=1e-10)
-    graph = grid_2d(5, 5)
-    native = backend.sparse(graph.laplacian(), dtype=np.float32)
-    assert native.dtype == np.float32
-    out = backend.spmm(native, backend.asarray(np.ones((25, 2)), dtype=np.float32))
-    np.testing.assert_allclose(backend.to_numpy(out), 0.0, atol=1e-6)
 
 
 # ----------------------------------------------------------------------
@@ -224,69 +168,6 @@ def test_solver_chebyshev_bypasses_intractable_spectrum_without_losing_accuracy(
     assert result.refine_stats.get("bypasses", 0) >= 1
     assert result.refine_stats.get("fallbacks", 0) == 0
     np.testing.assert_allclose(result.eigenvalues, exact_values, rtol=1e-3)
-
-
-# ----------------------------------------------------------------------
-# Eigenpair locking (laplacian_eigenpairs + PINVIT)
-# ----------------------------------------------------------------------
-def test_locked_vectors_stay_frozen_and_complete_the_block():
-    # Rectangular grid: square grids have degenerate eigenvalues, which
-    # makes the individual eigenvectors (and hence locking order) ill-posed.
-    graph = grid_2d(19, 17)
-    exact_values, exact_vectors = laplacian_eigenpairs(graph, 3, method="dense")
-    values, vectors = laplacian_eigenpairs(
-        graph, 3, locked_vectors=exact_vectors[:, :2]
-    )
-    # Sign-invariant: the locked block passes through an orthonormalisation.
-    overlap = np.abs(vectors[:, :2].T @ exact_vectors[:, :2])
-    np.testing.assert_allclose(overlap, np.eye(2), atol=1e-8)
-    np.testing.assert_allclose(values, exact_values, atol=1e-5)
-
-
-def test_fully_locked_block_skips_the_solver():
-    graph = grid_2d(13, 11)
-    exact_values, exact_vectors = laplacian_eigenpairs(graph, 2, method="dense")
-    values, vectors = laplacian_eigenpairs(graph, 2, locked_vectors=exact_vectors)
-    np.testing.assert_allclose(values, exact_values, atol=1e-10)
-    overlap = np.abs(vectors.T @ exact_vectors)
-    np.testing.assert_allclose(overlap, np.eye(2), atol=1e-8)
-
-
-def test_locking_requires_drop_trivial():
-    graph = grid_2d(8, 8)
-    _, vectors = laplacian_eigenpairs(graph, 2, method="dense")
-    with pytest.raises(ValueError, match="drop_trivial"):
-        laplacian_eigenpairs(graph, 2, locked_vectors=vectors, drop_trivial=False)
-
-
-def test_pinvit_locks_converged_ritz_vectors():
-    graph = _near_tree_graph()
-    solver = MultilevelEigensolver(
-        coarse_size=32,
-        refinement="inverse-power",
-        preconditioner="spanning-tree",
-        refinement_steps=20,
-        lock_tol=1e-4,
-    )
-    result = solver.solve(graph, 3)
-    exact_values, _ = laplacian_eigenpairs(graph, 3, method="dense")
-    np.testing.assert_allclose(result.eigenvalues, exact_values, rtol=1e-3)
-    # The tree preconditioner is near-exact here, so sweeps must converge
-    # and freeze columns (each locked column saves a preconditioner apply).
-    assert result.refine_stats.get("locked", 0) > 0
-
-
-def test_pinvit_lock_tol_zero_never_locks():
-    graph = _near_tree_graph()
-    solver = MultilevelEigensolver(
-        coarse_size=32,
-        refinement="inverse-power",
-        preconditioner="spanning-tree",
-        refinement_steps=10,
-        lock_tol=0.0,
-    )
-    result = solver.solve(graph, 3)
-    assert result.refine_stats.get("locked", 0) == 0
 
 
 # ----------------------------------------------------------------------

@@ -133,21 +133,6 @@ def test_repeated_fallbacks_disable_warm_path(monkeypatch):
     assert engine.last_mode == "cold"
 
 
-def test_warm_started_shift_invert_matches_dense():
-    from repro.linalg.eigen import laplacian_eigenpairs
-
-    graph = grid_2d(20, 20)
-    exact_values, exact_vectors = laplacian_eigenpairs(graph, 4, method="dense")
-    # Warm start from the exact nontrivial eigenvectors: the trivial pair is
-    # orthogonal to them, and must still be resolved (and dropped) correctly.
-    warm_values, warm_vectors = laplacian_eigenpairs(
-        graph, 4, method="shift-invert", initial_vectors=exact_vectors
-    )
-    np.testing.assert_allclose(warm_values, exact_values, rtol=1e-8)
-    overlap = np.abs(warm_vectors.T @ exact_vectors)
-    np.testing.assert_allclose(np.linalg.norm(overlap, axis=1), 1.0, atol=1e-6)
-
-
 def test_edge_weights_empty_graph_raises_keyerror():
     from repro.graphs.graph import WeightedGraph
 

@@ -28,7 +28,6 @@ from repro.knn import (
     BruteForceIndex,
     JLIndex,
     KDTreeIndex,
-    NSWIndex,
     build_index,
     effective_rank,
     knn_edges,
@@ -203,16 +202,15 @@ def test_build_index_auto_dispatch(low_dim_features, high_dim_features):
     assert isinstance(build_index(big, "auto"), JLIndex)
 
 
-def test_build_index_nsw_and_seed_dropping(low_dim_features):
-    index = build_index(low_dim_features, "nsw", seed=3)
-    assert isinstance(index, NSWIndex)
+def test_build_index_drops_seed_for_seedless_backend(low_dim_features):
     # seedless backends silently drop the threaded seed
     assert isinstance(build_index(low_dim_features, "kdtree", seed=3), KDTreeIndex)
 
 
 def test_build_index_rejects_unknown_backend(low_dim_features):
-    with pytest.raises(ValueError, match="unknown kNN backend"):
-        build_index(low_dim_features, "bogus")
+    for backend in ("bogus", "nsw"):
+        with pytest.raises(ValueError, match="unknown kNN backend"):
+            build_index(low_dim_features, backend)
 
 
 # ----------------------------------------------------------------------
@@ -220,8 +218,9 @@ def test_build_index_rejects_unknown_backend(low_dim_features):
 # ----------------------------------------------------------------------
 def test_config_validates_knn_backend():
     assert SGLConfig(knn_backend="jl").knn_backend == "jl"
-    with pytest.raises(ValueError, match="knn_backend"):
-        SGLConfig(knn_backend="bogus")
+    for removed in ("bogus", "nsw"):
+        with pytest.raises(ValueError, match="knn_backend"):
+            SGLConfig(knn_backend=removed)
 
 
 def test_learner_backends_agree_on_learned_graph():

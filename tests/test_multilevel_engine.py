@@ -8,6 +8,7 @@ from repro.core.instrumentation import StageTimings
 from repro.embedding import MultilevelEmbeddingEngine, spectral_embedding_matrix
 from repro.graphs.generators import grid_2d
 from repro.linalg import (
+    LaplacianSolver,
     MultilevelEigensolver,
     coarsening_hierarchy,
     laplacian_eigenpairs,
@@ -40,10 +41,6 @@ def _near_tree_graph():
     [
         ("lobpcg", "jacobi", "grid", 2e-2),
         ("lobpcg", "spanning-tree", "grid", 2e-2),
-        ("inverse-power", "jacobi", "grid", 2e-2),
-        # PINVIT leans on the preconditioner quality, so it is checked in
-        # the tree preconditioner's design regime (near-tree graphs).
-        ("inverse-power", "spanning-tree", "near-tree", 1e-3),
         ("lobpcg", "spanning-tree", "near-tree", 1e-3),
     ],
 )
@@ -96,12 +93,18 @@ def test_solver_validation_errors():
         MultilevelEigensolver(coarse_size=2)
     with pytest.raises(ValueError):
         MultilevelEigensolver(refinement_steps=-1)
-    with pytest.raises(ValueError):
-        MultilevelEigensolver(refinement="gauss-seidel")
+    for refinement in ("gauss-seidel", "inverse-power"):
+        with pytest.raises(ValueError):
+            MultilevelEigensolver(refinement=refinement)
     with pytest.raises(ValueError):
         MultilevelEigensolver(preconditioner="ilu")
     with pytest.raises(ValueError):
         MultilevelEigensolver().solve(grid_2d(4, 4), 0)
+    # Removed solver paths: LOBPCG cold solves and the CG Laplacian solver.
+    with pytest.raises(ValueError, match="unknown method"):
+        laplacian_eigenpairs(grid_2d(4, 4), 2, method="lobpcg")
+    with pytest.raises(TypeError):
+        LaplacianSolver(grid_2d(4, 4), method="cg")
 
 
 # ----------------------------------------------------------------------
@@ -277,6 +280,10 @@ def test_config_accepts_multilevel_engine():
         SGLConfig(embedding_engine="galerkin")
     with pytest.raises(ValueError):
         SGLConfig(multilevel_churn_threshold=-1.0)
+    with pytest.raises(ValueError, match="eigensolver"):
+        SGLConfig(eigensolver="lobpcg")
+    with pytest.raises(ValueError, match="refinement_backend"):
+        SGLConfig(refinement_backend="inverse-power")
 
 
 def test_hierarchy_slicing_and_sequence_protocol():

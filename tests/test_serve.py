@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from repro.artifacts import save_artifact, save_result
 from repro.core.config import SGLConfig
@@ -473,6 +474,68 @@ class TestGraphService:
             asyncio.run(run())
         service.close()
 
+    def test_bad_payload_fails_only_its_own_request(self, learned, artifact_path):
+        service = GraphService(max_batch_size=8, max_delay_s=0.01)
+        service.warm(artifact_path)
+
+        async def run():
+            good = service.query(artifact_path, "resistance", (0, 5))
+            bad = service.query(artifact_path, "resistance", (0, 10**6))
+            return await asyncio.gather(good, bad, return_exceptions=True)
+
+        good, bad = asyncio.run(run())
+        assert isinstance(bad, ValueError) and "out of range" in str(bad)
+        pinv = scipy.linalg.pinvh(learned.graph.laplacian().toarray())
+        expected = pinv[0, 0] + pinv[5, 5] - 2.0 * pinv[0, 5]
+        assert float(good) == pytest.approx(expected, rel=1e-8)
+        service.close()
+
+    @pytest.mark.parametrize("cold", [False, True], ids=["cached", "cold"])
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            ("resistance", (0.7, 5)),
+            ("resistance", ("3", 5)),
+            ("resistance", (True, 5)),
+            ("resistance", (0, -1)),
+            ("resistance", 5),
+            ("resistance", (0, 1, 2)),
+            ("resistance", "05"),
+            ("neighbors", 2.9),
+            ("neighbors", np.float64(2.0)),
+            ("labels", "3"),
+            ("labels", np.bool_(True)),
+            ("labels", 49),
+        ],
+    )
+    def test_malformed_payload_rejected(self, artifact_path, kind, payload, cold):
+        service = GraphService()
+        if not cold:
+            service.warm(artifact_path)
+
+        async def run():
+            await service.query(artifact_path, kind, payload)
+
+        with pytest.raises(ValueError, match="node ids must be integers|out of range|pair"):
+            asyncio.run(run())
+        service.close()
+
+    def test_numpy_integer_payloads_accepted(self, learned, artifact_path):
+        service = GraphService()
+
+        async def run():
+            return await asyncio.gather(
+                service.query(artifact_path, "resistance", (np.int64(0), np.int32(5))),
+                service.query(artifact_path, "resistance", np.array([0, 5])),
+                service.query(artifact_path, "labels", np.int64(3)),
+            )
+
+        first, second, label = asyncio.run(run())
+        expected = effective_resistance(learned.graph, np.array([[0, 5]]))[0]
+        assert float(first) == float(second) == pytest.approx(expected, rel=1e-8)
+        assert 0 <= label < 8
+        service.close()
+
     def test_lru_eviction_by_checksum(self, learned, tmp_path):
         paths = []
         for idx in range(3):
@@ -819,6 +882,18 @@ class TestTCPServer:
             stats = await ask({"kind": "stats"})
             warm = await ask({"kind": "warm", "artifact": str(artifact_path)})
             bad = await ask({"kind": "nope"})
+            bad_pair = await ask({
+                "kind": "resistance", "artifact": str(artifact_path),
+                "pairs": [[0, 48], [0.7, 5]],
+            })
+            bad_node = await ask({
+                "kind": "neighbors", "artifact": str(artifact_path),
+                "nodes": [2.9],
+            })
+            after = await ask({
+                "kind": "resistance", "artifact": str(artifact_path),
+                "pairs": pairs,
+            })
             not_json = None
             writer.write(b"this is not json\n")
             await writer.drain()
@@ -831,9 +906,9 @@ class TestTCPServer:
             except asyncio.CancelledError:
                 pass
             service.close()
-            return ok, nbr, stats, warm, bad, not_json
+            return ok, nbr, stats, warm, bad, not_json, bad_pair, bad_node, after
 
-        ok, nbr, stats, warm, bad, not_json = asyncio.run(run())
+        ok, nbr, stats, warm, bad, not_json, bad_pair, bad_node, after = asyncio.run(run())
         assert ok["ok"] and ok["id"] == 7
         np.testing.assert_allclose(ok["result"], expected, rtol=1e-8)
         assert nbr["ok"] and len(nbr["result"][0]) == 2
@@ -849,6 +924,12 @@ class TestTCPServer:
         assert warm["ok"] and warm["result"]["n_nodes"] == 49
         assert not bad["ok"] and "unknown request kind" in bad["error"]
         assert not not_json["ok"]
+        # Malformed node ids fail their request with a named error; the
+        # connection keeps serving.
+        assert not bad_pair["ok"] and "integers" in bad_pair["error"]
+        assert not bad_node["ok"] and "integers" in bad_node["error"]
+        assert after["ok"]
+        np.testing.assert_allclose(after["result"], expected, rtol=1e-8)
 
 
 # ----------------------------------------------------------------------
