@@ -13,7 +13,6 @@ reproduction's Fig. 8 driver compares against.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.graphs.graph import WeightedGraph

@@ -8,7 +8,8 @@ Artifact layout (``BENCH_<tag>.json``, schema v1)::
       "tag": "smoke",
       "created_at": "2026-07-30T12:00:00+00:00",
       "environment": {"python": ..., "numpy": ..., "scipy": ..., "platform": ...,
-                      "cpu_count": ..., "blas": ..., "blas_threads": {...}},
+                      "cpu_model": ..., "cpu_count": ..., "blas": ...,
+                      "blas_threads": {...}, "git_sha": ..., "git_dirty": ...},
       "run_config": {"warmup": 0, "repeats": 1, ...},
       "results": [ <BenchRecord.as_dict()>, ... ]
     }
@@ -27,6 +28,10 @@ Artifact layout (``BENCH_<tag>.json``, schema v1)::
   than ``quality_threshold`` (absolute), or learned density grew by more
   than ``time_threshold`` (relative).
 
+Two artifacts made on different hardware (another ``cpu_model`` or
+``cpu_count``) get a warning, which does not fail the gate either: their
+times are not comparable, so a pass or a failure says less.
+
 Records present on only one side are reported as notes, not failures, so
 adding scenarios never breaks the gate; so is engine-provenance drift (a
 changed ``resistance_engine`` / ``embedding_engine`` or a moved
@@ -40,6 +45,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import subprocess
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -70,13 +76,47 @@ class ArtifactError(ValueError):
     """A benchmark artifact does not conform to the schema."""
 
 
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def _git_state() -> tuple[str, bool | None]:
+    """``(commit, dirty)`` of the checkout this package runs from, if it is one."""
+    root = Path(__file__).resolve().parents[3]
+    if not (root / ".git").exists():
+        return "unknown", None
+    # The ceiling keeps git from searching directories above the checkout.
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(root.parent))
+    try:
+        commit = subprocess.run(
+            ["git", "-C", str(root), "rev-parse", "HEAD"],
+            capture_output=True, text=True, env=env, timeout=30, check=True,
+        ).stdout.strip()
+        status = subprocess.run(
+            ["git", "-C", str(root), "status", "--porcelain", "--untracked-files=no"],
+            capture_output=True, text=True, env=env, timeout=30, check=True,
+        ).stdout
+    except (OSError, subprocess.SubprocessError):
+        return "unknown", None
+    return commit, bool(status.strip())
+
+
 def environment_info() -> dict:
     """Interpreter / library / platform provenance embedded in artifacts.
 
-    Besides versions it records what a timing depends on: the CPU count,
-    numpy's BLAS vendor and the thread count of every loaded OpenBLAS copy
-    (outside :func:`repro.linalg.threads.single_threaded_blas`, i.e. what
-    non-learner code runs with).
+    Besides versions it records what a timing depends on: the CPU model and
+    count, numpy's BLAS vendor and the thread count of every loaded OpenBLAS
+    copy (outside :func:`repro.linalg.threads.single_threaded_blas`, i.e.
+    what non-learner code runs with), and the commit that ran: ``git_sha``,
+    and ``git_dirty`` when tracked files differ from it (``"unknown"`` and
+    ``None`` outside a git checkout).
     """
     import numpy
     import scipy
@@ -88,15 +128,19 @@ def environment_info() -> dict:
         blas_vendor = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # numpy < 1.25 has no mode="dicts"
         blas_vendor = "unknown"
+    git_sha, git_dirty = _git_state()
     return {
         "python": sys.version.split()[0],
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "platform": platform.platform(),
         "machine": platform.machine(),
+        "cpu_model": _cpu_model(),
         "cpu_count": os.cpu_count(),
         "blas": blas_vendor,
         "blas_threads": blas_thread_counts(),
+        "git_sha": git_sha,
+        "git_dirty": git_dirty,
     }
 
 
@@ -222,10 +266,11 @@ class Regression:
 
 @dataclass
 class ComparisonReport:
-    """Outcome of :func:`compare`: regressions fail the gate, notes do not."""
+    """Outcome of :func:`compare`: regressions fail the gate, warnings and notes do not."""
 
     regressions: list[Regression] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    warnings: list[str] = field(default_factory=list)
     n_compared: int = 0
 
     @property
@@ -239,6 +284,8 @@ class ComparisonReport:
             f"compared {self.n_compared} (scenario, method) records: "
             + ("OK" if self.ok else f"{len(self.regressions)} regression(s)")
         ]
+        for warning in self.warnings:
+            lines.append(f"  WARNING: {warning}")
         for reg in self.regressions:
             lines.append(f"  REGRESSION [{reg.kind}] {reg.scenario} ({reg.method}): {reg.message}")
         for note in self.notes:
@@ -281,6 +328,16 @@ def compare(
     validate_artifact(baseline)
     validate_artifact(candidate)
     report = ComparisonReport()
+
+    # Artifacts from before a key was recorded say nothing about it.
+    for key in ("cpu_model", "cpu_count"):
+        base_value = baseline["environment"].get(key)
+        cand_value = candidate["environment"].get(key)
+        if base_value is not None and cand_value is not None and base_value != cand_value:
+            report.warnings.append(
+                f"{key} differs ({base_value!r} -> {cand_value!r}); "
+                "the two runs' times are not comparable"
+            )
 
     base_index = {(r["scenario"], r["method"]): r for r in baseline["results"]}
     cand_index = {(r["scenario"], r["method"]): r for r in candidate["results"]}

@@ -8,7 +8,7 @@ spectral embedding, edge-sampling ratio ``beta = 1e-3``, sensitivity tolerance
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -78,6 +78,7 @@ def edge_sensitivities(
     *,
     n_samples: int | None = None,
     seed: int | None = 0,
+    data_term: np.ndarray | None = None,
 ) -> np.ndarray:
     """Edge sensitivities ``s_st = dF / dw_st ~= z_emb - z_data / M`` (Eq. 13).
 
@@ -92,6 +93,11 @@ def edge_sensitivities(
     both matrices are first compressed through random-sign probe sketches of
     that many columns, an unbiased estimate of the exact squared distances.
     ``None`` (default) keeps the exact pass.
+
+    ``data_term`` is the exact pass's ``z_data / M`` for ``pairs``, when the
+    caller already has it: the data do not change inside the densification
+    loop, so :func:`repro.core.sgl.densify` computes it once per call.  It
+    cannot be combined with ``n_samples``.
 
     Examples
     --------
@@ -118,6 +124,8 @@ def edge_sensitivities(
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     n_measurements = voltages.shape[1]
     if n_samples is not None:
+        if data_term is not None:
+            raise ValueError("data_term is the exact pass's; it cannot be combined with n_samples")
         if n_samples < 1:
             raise ValueError("n_samples must be None or at least 1")
         # Sketch before differencing: z_data/M is preserved in expectation
@@ -132,8 +140,9 @@ def edge_sensitivities(
         z_data = data_distances_squared(voltages_sk, pairs)
         return z_emb - z_data / n_measurements
     z_emb = embedding.pair_distances_squared(pairs)
-    z_data = data_distances_squared(voltages, pairs)
-    return z_emb - z_data / n_measurements
+    if data_term is None:
+        data_term = data_distances_squared(voltages, pairs) / n_measurements
+    return z_emb - data_term
 
 
 def spectral_embedding_distortion(

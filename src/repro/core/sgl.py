@@ -41,7 +41,7 @@ from repro.core.instrumentation import StageTimings
 from repro.obs.tracing import set_attributes, span as obs_span
 from repro.core.objective import graphical_lasso_objective
 from repro.core.scaling import spectral_edge_scaling
-from repro.core.sensitivity import edge_sensitivities
+from repro.core.sensitivity import data_distances_squared, edge_sensitivities
 from repro.embedding.engine import EmbeddingEngine
 from repro.embedding.multilevel_engine import MultilevelEmbeddingEngine
 from repro.embedding.spectral import SpectralEmbedding, StatelessEmbeddingEngine
@@ -198,20 +198,23 @@ class DensifyState:
             self.pending = None
         return self.embedding
 
-    def add(self, chosen: np.ndarray) -> None:
+    def add(self, chosen: np.ndarray) -> np.ndarray:
         """Move the pool entries ``chosen`` into the graph (Step 4).
 
-        Call it only with a current embedding, as :func:`densify` does.
+        Returns the mask of the pool entries that stay in the pool, for a
+        caller that keeps per-candidate arrays beside it.  Call it only with
+        a current embedding, as :func:`densify` does.
         """
+        keep = np.ones(self.pool_edges.shape[0], dtype=bool)
         if chosen.size == 0:
-            return
+            return keep
         edges = self.pool_edges[chosen]
         self.graph = self.graph.add_edges(edges, self.pool_weights[chosen])
-        keep = np.ones(self.pool_edges.shape[0], dtype=bool)
         keep[chosen] = False
         self.pool_edges = self.pool_edges[keep]
         self.pool_weights = self.pool_weights[keep]
         self.pending = edges
+        return keep
 
 
 def densify(
@@ -236,6 +239,7 @@ def densify(
     """
     history = SGLHistory()
     batch_size = config.edges_per_iteration(state.graph.n_nodes)
+    data_term = None
     for iteration in range(max_iterations):
         if state.pool_edges.shape[0] == 0:
             return history, True
@@ -247,12 +251,18 @@ def densify(
         ):
             embedding = state.refresh(timings)
             with timings.stage("sensitivity"):
+                if data_term is None and config.sensitivity_samples is None:
+                    # The data do not change inside the loop, so the exact
+                    # pass's z_data / M of every candidate is computed once
+                    # and shrinks with the pool.
+                    data_term = data_distances_squared(voltages, state.pool_edges) / voltages.shape[1]
                 sensitivities = edge_sensitivities(
                     embedding,
                     voltages,
                     state.pool_edges,
                     n_samples=config.sensitivity_samples,
                     seed=config.seed,
+                    data_term=data_term,
                 )
             max_sensitivity = float(sensitivities.max())
 
@@ -273,7 +283,9 @@ def densify(
                 with timings.stage("edge_selection"):
                     order = np.argsort(sensitivities)[::-1][:batch_size]
                     chosen = order[sensitivities[order] > config.tol]
-                    state.add(chosen)
+                    keep = state.add(chosen)
+                    if data_term is not None:
+                        data_term = data_term[keep]
                 n_added = int(chosen.size)
 
             history.append(
@@ -392,8 +404,9 @@ class SGLearner:
         ------
         repro.measurements.MeasurementError
             For a non-finite voltage or current, a column whose energy
-            overflows, or a zero-energy voltage column driven by a nonzero
-            current (:func:`repro.measurements.check_measurements`).
+            overflows, voltages constant across nodes in every column, or a
+            zero-energy voltage column driven by a nonzero current
+            (:func:`repro.measurements.check_measurements`).
         """
         return self._fit(
             measurements, currents, timings=timings, checkpoint_path=checkpoint_path

@@ -47,7 +47,6 @@ from typing import Literal
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.embedding.spectral import (
     SpectralEmbedding,

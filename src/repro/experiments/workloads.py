@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
 
 from repro.core.config import SGLConfig
 from repro.graphs.graph import WeightedGraph

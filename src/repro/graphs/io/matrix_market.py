@@ -22,7 +22,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.laplacian import is_valid_laplacian
 
 __all__ = ["read_matrix_market", "write_matrix_market", "read_matrix_market_matrix"]
 

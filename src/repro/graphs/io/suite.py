@@ -24,7 +24,7 @@ name to the synthetic generator of the same structural class (see DESIGN.md,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.graphs.graph import WeightedGraph

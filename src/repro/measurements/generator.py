@@ -15,7 +15,7 @@ baselines and the experiment harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

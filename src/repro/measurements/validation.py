@@ -3,10 +3,11 @@
 A bad measurement used to fail deep inside the stack or silently: one NaN
 voltage surfaced as ``LinAlgError: SVD did not converge`` in the kNN
 backend, a NaN current or data scaled past float64's range made Step 5
-return a factor of 1.0, and a zeroed voltage column inflated the Step-5
-factor to ~1e11.  :func:`check_measurements` rejects those inputs where they
-enter the learners, with a :class:`MeasurementError` that names the
-offending entry or column.
+return a factor of 1.0, a zeroed voltage column inflated the Step-5
+factor to ~1e11, and all-zero or constant voltages "learned" every kNN
+candidate at the weight floor.  :func:`check_measurements` rejects those
+inputs where they enter the learners, with a :class:`MeasurementError` that
+names the offending entry or column.
 
 Examples
 --------
@@ -62,11 +63,17 @@ def check_measurements(voltages: np.ndarray, currents: np.ndarray | None = None)
     """Raise :class:`MeasurementError` unless ``(voltages, currents)`` can be learned from.
 
     Rejected: a non-finite entry in either matrix, a column whose energy
-    ``||x_i||^2`` overflows float64, currents of another shape than the
-    voltages, and a voltage column of zero energy whose current column is
-    nonzero (Step 5 would divide the simulated response by zero).
+    ``||x_i||^2`` overflows float64, voltages in which every column is
+    constant across nodes (no node differs from another, so there is no
+    distance to learn from), currents of another shape than the voltages,
+    and a voltage column of zero energy whose current column is nonzero
+    (Step 5 would divide the simulated response by zero).
     """
     voltage_energies = _column_energies(voltages, "voltages")
+    if (voltages == voltages[:1]).all():
+        raise MeasurementError(
+            "every voltage column is constant across nodes; no node differs from another"
+        )
     if currents is None:
         return
     if currents.shape != voltages.shape:

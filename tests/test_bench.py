@@ -107,6 +107,18 @@ def test_artifact_environment_records_cpu_and_blas(tiny_records):
     assert environment["blas_threads"] == blas_thread_counts()
 
 
+def test_artifact_environment_records_cpu_model_and_commit(tiny_records):
+    environment = make_artifact("unit", tiny_records)["environment"]
+    assert isinstance(environment["cpu_model"], str) and environment["cpu_model"]
+    sha, dirty = environment["git_sha"], environment["git_dirty"]
+    # A git checkout names its commit; a copy without .git says so.
+    if sha == "unknown":
+        assert dirty is None
+    else:
+        assert len(sha) == 40 and int(sha, 16) >= 0
+        assert isinstance(dirty, bool)
+
+
 def test_validate_rejects_malformed(tiny_records):
     artifact = make_artifact("unit", tiny_records)
     broken = json.loads(json.dumps(artifact))
@@ -260,6 +272,24 @@ def test_cli_compare_fails_on_injected_slowdown(smoke_artifact_path, tmp_path):
     slow_path = tmp_path / "BENCH_slow.json"
     slow_path.write_text(json.dumps(artifact))
     assert main(["compare", str(smoke_artifact_path), str(slow_path)]) == 1
+
+
+def test_cli_compare_warns_on_other_hardware(smoke_artifact_path, tmp_path, capsys):
+    artifact = json.loads(smoke_artifact_path.read_text())
+    artifact["environment"]["cpu_model"] = "Another CPU @ 1.00GHz"
+    artifact["environment"]["cpu_count"] = artifact["environment"]["cpu_count"] + 2
+    other_path = tmp_path / "BENCH_other.json"
+    other_path.write_text(json.dumps(artifact))
+    capsys.readouterr()
+    assert main(["compare", str(smoke_artifact_path), str(other_path)]) == 0
+    out = capsys.readouterr().out
+    assert "WARNING: cpu_model differs" in out and "WARNING: cpu_count differs" in out
+    # Old artifacts without a cpu_model warn about nothing they do not record.
+    del artifact["environment"]["cpu_model"]
+    artifact["environment"]["cpu_count"] -= 2
+    other_path.write_text(json.dumps(artifact))
+    assert main(["compare", str(smoke_artifact_path), str(other_path)]) == 0
+    assert "WARNING" not in capsys.readouterr().out
 
 
 def test_cli_list_runs(capsys):

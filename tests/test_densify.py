@@ -20,7 +20,9 @@ import pytest
 
 from repro.core import sgl
 from repro.core.config import SGLConfig
+from repro.core.sensitivity import data_distances_squared, edge_sensitivities
 from repro.core.sgl import SGLearner
+from repro.embedding.spectral import spectral_embedding_matrix
 from repro.embedding import MultilevelEmbeddingEngine
 from repro.graphs.generators import circuit_grid, fe_mesh, grid_2d
 from repro.measurements import simulate_measurements
@@ -173,6 +175,36 @@ def test_stitch_honours_sensitivity_samples(monkeypatch):
     stitch_calls = [samples for n_nodes, samples in calls if n_nodes == graph.n_nodes]
     assert len(stitch_calls) == len(result.stitch_stats["correction_edges"]) > 0
     assert set(samples for _, samples in calls) == {16}
+
+
+def test_data_term_gives_the_same_sensitivities():
+    graph = INPUTS["fem"]()
+    data = simulate_measurements(graph, 40, seed=1)
+    embedding = spectral_embedding_matrix(graph, 5)
+    pairs = graph.edges
+    data_term = data_distances_squared(data.voltages, pairs) / data.n_measurements
+    np.testing.assert_array_equal(
+        edge_sensitivities(embedding, data.voltages, pairs, data_term=data_term),
+        edge_sensitivities(embedding, data.voltages, pairs),
+    )
+    with pytest.raises(ValueError, match="data_term"):
+        edge_sensitivities(embedding, data.voltages, pairs, n_samples=8, data_term=data_term)
+
+
+def test_densify_passes_each_iteration_the_pools_data_term(monkeypatch):
+    """The data term is computed once per call and must follow the shrinking pool."""
+    calls = []
+    original = sgl.edge_sensitivities
+
+    def recording(embedding, voltages, pairs, **kwargs):
+        fresh = data_distances_squared(voltages, pairs) / voltages.shape[1]
+        calls.append(np.array_equal(kwargs["data_term"], fresh))
+        return original(embedding, voltages, pairs, **kwargs)
+
+    monkeypatch.setattr(sgl, "edge_sensitivities", recording)
+    result = SGLearner(_config("incremental")).fit(simulate_measurements(INPUTS["grid"](), 40, seed=1))
+    assert len(calls) == len(result.history) > 1
+    assert all(calls)
 
 
 if __name__ == "__main__":

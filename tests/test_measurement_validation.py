@@ -119,3 +119,32 @@ def test_clean_measurements_still_learn(data):
     result = SGLearner(beta=0.025).fit(data)
     assert np.isfinite(result.scaling_factor) and result.scaling_factor > 0
     assert result.graph.is_connected()
+
+
+@pytest.mark.parametrize(
+    "voltages, with_currents",
+    [(0.0, False), (3.0, False), (3.0, True)],
+    ids=["zeros", "constant", "constant-with-currents"],
+)
+def test_constant_voltages_raise(data, voltages, with_currents):
+    """Data with no node-to-node difference used to learn every kNN candidate at the weight floor."""
+    constant = np.full_like(data.voltages, voltages)
+    currents = data.currents if with_currents else None
+    with pytest.raises(MeasurementError, match="every voltage column is constant") as caught:
+        SGLearner(beta=0.025).fit(constant, currents)
+    assert (caught.value.row, caught.value.column) == (None, None)
+
+
+def test_online_learner_rejects_constant_voltages(data):
+    learner = OnlineSGLearner(beta=0.025)
+    with pytest.raises(MeasurementError, match="every voltage column is constant"):
+        learner.fit(MeasurementSet(np.zeros_like(data.voltages), data.currents))
+    assert learner.n_updates == 0
+
+
+def test_one_constant_column_among_informative_ones_still_fits(data):
+    voltages = data.voltages.copy()
+    voltages[:, 5] = 3.0
+    result = SGLearner(beta=0.025).fit(voltages)
+    assert result.graph.is_connected()
+    assert np.all(np.isfinite(result.graph.weights))
