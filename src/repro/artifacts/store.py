@@ -179,9 +179,10 @@ def _config_to_meta(config: SGLConfig) -> dict:
 
 def _config_from_meta(data: dict) -> SGLConfig:
     data = dict(data)
-    # Older artifacts also store the removed compute-backend field, which
-    # only chose where the Chebyshev filter's arithmetic ran, never the graph.
-    data.pop("linalg_backend", None)
+    # Older artifacts also store fields removed since: the compute backend
+    # and the multilevel engine's second refinement backend and its precision.
+    for key in ("linalg_backend", "refinement_backend", "refine_dtype"):
+        data.pop(key, None)
     if data.get("sigma_sq") == "inf":
         data["sigma_sq"] = np.inf
     try:
@@ -318,7 +319,6 @@ def save_result(
             sigma_sq=config.sigma_sq,
             method=config.eigensolver,
             seed=config.seed,
-            multilevel_coarse_size=config.multilevel_coarse_size,
         ).coordinates
     return save_artifact(
         result.graph,

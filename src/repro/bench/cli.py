@@ -102,12 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--engine",
-        choices=("stateless", "incremental", "multilevel", "sharded"),
+        choices=("incremental", "multilevel", "sharded"),
         default=None,
         help="override SGLConfig.embedding_engine for every scenario "
-        "(A/B the warm-started incremental engine and the multilevel "
-        "coarsen-solve-refine engine against the recompute-from-scratch "
-        "path; 'sharded' selects the partition-parallel ShardedSGLearner "
+        "(A/B the warm-started incremental engine against the multilevel "
+        "coarsen-solve-refine engine; 'sharded' selects the partition-parallel ShardedSGLearner "
         "with --parts shards — per-shard embedding engines follow the "
         "scenario settings, and --jobs workers fit shards concurrently; "
         "default: scenario settings)",
@@ -118,24 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=4,
         metavar="N",
         help="shards for --engine sharded (default 4; ignored otherwise)",
-    )
-    p_run.add_argument(
-        "--refinement-backend",
-        choices=("lobpcg", "chebyshev"),
-        default=None,
-        help="override SGLConfig.refinement_backend for every scenario "
-        "(A/B the multilevel engine's per-level refinement: preconditioned "
-        "LOBPCG or mixed-precision Chebyshev-filtered "
-        "subspace iteration; only meaningful with --engine multilevel; "
-        "default: scenario settings)",
-    )
-    p_run.add_argument(
-        "--refine-dtype",
-        choices=("float32", "float64"),
-        default=None,
-        help="override SGLConfig.refine_dtype for every scenario (the "
-        "chebyshev filter's working precision — acceptance checks always "
-        "run in float64; default: scenario settings)",
     )
     p_run.add_argument(
         "--knn-backend",
@@ -337,10 +318,6 @@ def _cmd_run(args) -> int:
         sgl_overrides["embedding_engine"] = args.engine
     if args.knn_backend is not None:
         sgl_overrides["knn_backend"] = args.knn_backend
-    if args.refinement_backend is not None:
-        sgl_overrides["refinement_backend"] = args.refinement_backend
-    if args.refine_dtype is not None:
-        sgl_overrides["refine_dtype"] = args.refine_dtype
     if sgl_overrides:
         specs = [
             dataclasses.replace(spec, sgl={**spec.sgl, **sgl_overrides})
@@ -411,8 +388,6 @@ def _cmd_run(args) -> int:
             "embedding_engine": args.engine,
             "sharded_parts": sharded_parts,
             "knn_backend": args.knn_backend,
-            "refinement_backend": args.refinement_backend,
-            "refine_dtype": args.refine_dtype,
             "profile": str(profile_dir) if profile_dir is not None else None,
             "trace": args.trace,
         },

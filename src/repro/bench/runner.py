@@ -414,14 +414,11 @@ def run_scenario(
                 "repeats": repeats,
                 "embedding_engine": result.config.embedding_engine,
                 "knn_backend": result.config.knn_backend,
-                "refinement_backend": result.config.refinement_backend,
                 "engine_stats": result.engine_stats,
                 # One number for "how often did the fast path bail": dense
-                # fallbacks (incremental engine) + churn rebuilds + rejected
-                # mixed-precision refinement levels (multilevel).
+                # fallbacks (incremental engine) + churn rebuilds (multilevel).
                 "engine_fallbacks": int(engine_stats.get("fallbacks", 0) or 0)
-                + int(engine_stats.get("churn_rebuilds", 0) or 0)
-                + int(engine_stats.get("chebyshev_fallbacks", 0) or 0),
+                + int(engine_stats.get("churn_rebuilds", 0) or 0),
                 "profile": profile_file,
                 "trace": (
                     str(trace_paths["trace"]) if trace_paths is not None else None
@@ -435,7 +432,13 @@ def run_scenario(
     ]
 
     for name in baselines:
-        outcome = run_baseline(name, truth, measurements, seed=spec.seed)
+        # ``repeats`` samples, as the learner gets: the comparison gate keeps
+        # each record's fastest, so one stall cannot fail a 10 ms baseline.
+        outcomes = [
+            run_baseline(name, truth, measurements, seed=spec.seed)
+            for _ in range(max(repeats, 1))
+        ]
+        outcome = outcomes[-1]
         if not outcome.ok:
             records.append(
                 BenchRecord(
@@ -466,7 +469,7 @@ def run_scenario(
                 n_edges_true=truth.n_edges,
                 n_measurements=spec.n_measurements,
                 noise_level=spec.noise_level,
-                wall_seconds=[outcome.seconds],
+                wall_seconds=[o.seconds for o in outcomes],
                 quality=baseline_quality,
                 info=dict(outcome.info),
             )

@@ -43,9 +43,9 @@ class SGLConfig:
     max_iterations:
         Safety cap on densification iterations.
     eigensolver:
-        Backend for Step 2: ``"auto"``, ``"dense"``, ``"shift-invert"`` or
-        ``"multilevel"`` (the paper's near-linear-time path).  With the
-        incremental engine this backend only serves *cold* solves; warm
+        Backend for *cold* Step-2 solves (the incremental engine's, the
+        sharded stitch's and a saved artifact's embedding): ``"auto"``,
+        ``"dense"`` or ``"shift-invert"``.  The incremental engine's warm
         refreshes use Rayleigh-Ritz / warm-started inverse iteration.
     embedding_engine:
         ``"incremental"`` (default) keeps a warm-started
@@ -55,28 +55,19 @@ class SGLConfig:
         coarsen-solve-refine :class:`~repro.embedding.MultilevelEmbeddingEngine`
         (the paper's near-linear-time path), reusing the coarsening
         hierarchy across iterations and re-matching only when edge churn
-        exceeds ``multilevel_churn_threshold``; ``"stateless"`` recomputes
-        the embedding from scratch every iteration (the pre-engine
-        behaviour, kept for A/B benchmarking and debugging).
+        exceeds ``multilevel_churn_threshold``.  The incremental engine
+        wins up to about 11k nodes; the multilevel engine wins at paper
+        scale (the 150k-node circuit).
     multilevel_coarse_size:
-        Coarsest-level size for ``eigensolver="multilevel"`` and the
-        ``"multilevel"`` embedding engine.  The 400 default balances the
-        dense coarsest solve (sub-0.1 s at this size) against hierarchy
-        depth; small meshes measurably prefer a relatively large coarsest
-        level, and at paper scale the dense solve stays negligible.
+        Coarsest-level size for the ``"multilevel"`` embedding engine (and
+        for the sharded stitch's cold solves under it).  The 400 default
+        balances the dense coarsest solve (sub-0.1 s at this size) against
+        hierarchy depth; small meshes measurably prefer a relatively large
+        coarsest level, and at paper scale the dense solve stays negligible.
     multilevel_churn_threshold:
         Fractional fine-edge-count drift above which the ``"multilevel"``
         engine re-runs heavy-edge matching instead of reusing the stored
         hierarchy.
-    refinement_backend:
-        Per-level refinement backend of the ``"multilevel"`` engine:
-        ``"lobpcg"`` (default) or ``"chebyshev"`` (mixed-precision
-        Chebyshev-filtered subspace iteration with float64 acceptance; see
-        :mod:`repro.linalg.chebyshev`).
-    refine_dtype:
-        Filtering precision for ``refinement_backend="chebyshev"``:
-        ``"float32"`` (default; the memory-bound filter matvecs run at half
-        traffic) or ``"float64"``.  Acceptance is always float64.
     sensitivity_samples:
         ``None`` (default) keeps the paper's exact per-edge sensitivity
         pass (Step 3).  A positive int opts into the Hutchinson-style
@@ -124,8 +115,6 @@ class SGLConfig:
     embedding_engine: str = "incremental"
     multilevel_coarse_size: int = 400
     multilevel_churn_threshold: float = 0.1
-    refinement_backend: str = "lobpcg"
-    refine_dtype: str = "float32"
     sensitivity_samples: int | None = None
     edge_scaling: bool = True
     initial_graph: str = "mst"
@@ -150,18 +139,12 @@ class SGLConfig:
             raise ValueError(f"unknown knn_backend {self.knn_backend!r}")
         if self.initial_graph not in {"mst", "knn", "random-tree"}:
             raise ValueError("initial_graph must be 'mst', 'knn' or 'random-tree'")
-        if self.eigensolver not in {"auto", "dense", "shift-invert", "multilevel"}:
+        if self.eigensolver not in {"auto", "dense", "shift-invert"}:
             raise ValueError(f"unknown eigensolver {self.eigensolver!r}")
-        if self.embedding_engine not in {"stateless", "incremental", "multilevel"}:
-            raise ValueError(
-                "embedding_engine must be 'stateless', 'incremental' or 'multilevel'"
-            )
+        if self.embedding_engine not in {"incremental", "multilevel"}:
+            raise ValueError("embedding_engine must be 'incremental' or 'multilevel'")
         if self.multilevel_churn_threshold < 0:
             raise ValueError("multilevel_churn_threshold must be non-negative")
-        if self.refinement_backend not in {"lobpcg", "chebyshev"}:
-            raise ValueError(f"unknown refinement_backend {self.refinement_backend!r}")
-        if self.refine_dtype not in {"float32", "float64"}:
-            raise ValueError("refine_dtype must be 'float32' or 'float64'")
         if self.sensitivity_samples is not None and self.sensitivity_samples < 1:
             raise ValueError("sensitivity_samples must be None or at least 1")
         if self.objective_eigenvalues < 1:

@@ -6,9 +6,9 @@ embedding, edge sensitivity ranking and edge scaling.  :class:`StageTimings`
 is the instrument the learner (and the benchmark harness in
 :mod:`repro.bench`) threads through that pipeline: a tiny accumulator of
 wall-clock seconds and call counts per named stage.  The embedding stage is
-engine-dependent: the stateless path records ``embedding``, the incremental
-engine splits ``embedding`` / ``embedding_warm`` and the multilevel engine
-splits ``coarsen`` / ``refine``.
+engine-dependent: the incremental engine splits ``embedding`` /
+``embedding_warm``, the multilevel engine splits ``coarsen`` / ``refine``, and
+the sharded stitch's cold solves record ``embedding``.
 
 Since the :mod:`repro.obs` layer landed, :class:`StageTimings` is also the
 bridge into tracing: every :meth:`StageTimings.stage` entry additionally

@@ -16,8 +16,7 @@ incremental :class:`~repro.embedding.EmbeddingEngine`, which reuses the
 previous iteration's eigenvectors instead of re-solving the eigenproblem from
 scratch.  ``SGLConfig.embedding_engine = "multilevel"`` switches to the
 coarsen-solve-refine :class:`~repro.embedding.MultilevelEmbeddingEngine`
-(the paper's near-linear-time path, fastest at paper scale), and
-``"stateless"`` restores the old recompute-every-iteration behaviour.
+(the paper's near-linear-time path, fastest at paper scale).
 
 Steps 2-4 are written once, as :func:`densify` over a :class:`DensifyState`;
 the online learner's incremental pass and the sharded stitch run the same
@@ -95,7 +94,8 @@ class SGLResult:
         Refresh-outcome counters of the stateful embedding engine
         (:meth:`repro.embedding.EngineStats.as_dict` or
         :meth:`repro.embedding.MultilevelEngineStats.as_dict`), or ``None``
-        when the stateless path was used.
+        for an engine that keeps none
+        (:class:`~repro.embedding.StatelessEmbeddingEngine`).
 
     Examples
     --------
@@ -131,9 +131,7 @@ class SGLResult:
         return self.graph.density
 
 
-def make_engine(
-    config: SGLConfig,
-) -> EmbeddingEngine | MultilevelEmbeddingEngine | StatelessEmbeddingEngine:
+def make_engine(config: SGLConfig) -> EmbeddingEngine | MultilevelEmbeddingEngine:
     """The Step-2 engine ``config.embedding_engine`` names, built from ``config``.
 
     The batch fit and the online learner both build their engine here.
@@ -144,17 +142,10 @@ def make_engine(
             sigma_sq=config.sigma_sq,
             coarse_size=config.multilevel_coarse_size,
             churn_threshold=config.multilevel_churn_threshold,
-            refinement=config.refinement_backend,
-            refine_dtype=config.refine_dtype,
             seed=config.seed,
         )
-    engine = EmbeddingEngine if config.embedding_engine == "incremental" else StatelessEmbeddingEngine
-    return engine(
-        config.r,
-        sigma_sq=config.sigma_sq,
-        method=config.eigensolver,
-        seed=config.seed,
-        multilevel_coarse_size=config.multilevel_coarse_size,
+    return EmbeddingEngine(
+        config.r, sigma_sq=config.sigma_sq, method=config.eigensolver, seed=config.seed
     )
 
 

@@ -6,14 +6,14 @@ points compute that embedding:
 
 * :func:`spectral_embedding_matrix` -- stateless, solves the eigenproblem
   from scratch on every call (:class:`StatelessEmbeddingEngine` wraps it in
-  the engines' ``refresh`` interface);
+  the engines' ``refresh`` interface for the sharded stitch);
 * :class:`EmbeddingEngine` -- stateful and warm-started, reusing the previous
   call's eigenvectors to refresh the embedding of an incrementally densified
   graph in a few iterations (the default inside the SGL learner's loop);
 * :class:`MultilevelEmbeddingEngine` -- stateful coarsen-solve-refine path
   that reuses the coarsening hierarchy across densification iterations (the
   near-linear-time multilevel machinery of the paper, engine mode
-  ``"multilevel"``).
+  ``"multilevel"``, the faster one at paper scale).
 
 The same eigenvectors also drive the paper's visualisation methodology:
 spectral graph drawing (u2/u3 as 2-D node coordinates, Koren [6]) and spectral

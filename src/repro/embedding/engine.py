@@ -48,11 +48,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from repro.embedding.spectral import (
-    SpectralEmbedding,
-    embedding_from_eigenpairs,
-    spectral_embedding_matrix,
-)
+from repro.embedding.spectral import SpectralEmbedding, embedding_from_eigenpairs
 from repro.graphs.graph import WeightedGraph
 from repro.linalg.eigen import laplacian_eigenpairs
 from repro.linalg.solvers import grounded_splu
@@ -242,13 +238,11 @@ class EmbeddingEngine:
     sigma_sq:
         Prior feature variance forwarded to the Eq. (12) scaling.
     method:
-        Eigensolver backend for *cold* solves (``"auto"``, ``"dense"``,
-        ``"shift-invert"`` or ``"multilevel"``); warm refreshes always use
-        Rayleigh-Ritz / inverse iteration regardless.
+        Eigensolver backend for *cold* solves (``"auto"``, ``"dense"`` or
+        ``"shift-invert"``); warm refreshes always use Rayleigh-Ritz /
+        inverse iteration regardless.
     seed:
         Seed forwarded to the iterative cold backends.
-    multilevel_coarse_size:
-        Coarse-level size for the ``"multilevel"`` cold backend.
     warm_tol:
         Strict eigenvalue-relative residual acceptance threshold: a tower
         check is accepted outright when ``||L u_i - theta_i u_i|| <=
@@ -292,7 +286,7 @@ class EmbeddingEngine:
     max_consecutive_fallbacks:
         After this many warm failures in a row the engine stops attempting
         warm starts for the rest of its lifetime (automatic degradation to
-        the stateless behaviour).
+        a cold solve on every refresh).
 
     Examples
     --------
@@ -320,9 +314,8 @@ class EmbeddingEngine:
         r: int = 5,
         *,
         sigma_sq: float = np.inf,
-        method: Literal["auto", "dense", "shift-invert", "multilevel"] = "auto",
+        method: Literal["auto", "dense", "shift-invert"] = "auto",
         seed: int | None = 0,
-        multilevel_coarse_size: int = 200,
         warm_tol: float = 1e-3,
         drift_tol: float = 0.02,
         residual_cap: float = 0.2,
@@ -349,7 +342,6 @@ class EmbeddingEngine:
         self.sigma_sq = sigma_sq
         self.method = method
         self.seed = seed
-        self.multilevel_coarse_size = int(multilevel_coarse_size)
         self.warm_tol = float(warm_tol)
         self.drift_tol = float(drift_tol)
         self.residual_cap = float(residual_cap)
@@ -422,16 +414,6 @@ class EmbeddingEngine:
     def _cold_solve(
         self, graph: WeightedGraph, k_work: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        if self.method == "multilevel":
-            embedding = spectral_embedding_matrix(
-                graph,
-                k_work + 1,
-                sigma_sq=self.sigma_sq,
-                method=self.method,
-                seed=self.seed,
-                multilevel_coarse_size=self.multilevel_coarse_size,
-            )
-            return embedding.eigenvalues[:k_work], embedding.eigenvectors[:, :k_work]
         # The engine targets embedding-grade accuracy (warm_tol), so its cold
         # solves request a finite ARPACK tolerance instead of the stateless
         # path's machine-precision default — several Lanczos restarts cheaper

@@ -1,7 +1,7 @@
 """Multilevel coarsen-solve-refine embedding engine for the SGL loop.
 
-The third ``SGLConfig.embedding_engine`` mode (after ``"stateless"`` and the
-warm-started ``"incremental"`` engine).  Where the incremental engine reuses
+The second ``SGLConfig.embedding_engine`` mode, beside the warm-started
+``"incremental"`` engine.  Where the incremental engine reuses
 *eigenpairs* across densification iterations, this engine reuses the
 *coarsening hierarchy*: heavy-edge matching — the expensive, sequential part
 of a multilevel solve — is computed once and then kept while the SGL loop
@@ -13,9 +13,9 @@ adds its ``ceil(N beta)`` edges per iteration.  Every refresh
    churn since the last build exceeds ``churn_threshold``;
 2. **refine**: solves the dense eigenproblem on the coarsest level,
    prolongates through the hierarchy and refines per level with the
-   preconditioned LOBPCG or Chebyshev-filter machinery of
-   :class:`~repro.linalg.MultilevelEigensolver`, warm-starting the finest
-   level with the previous iteration's eigenvectors.
+   preconditioned LOBPCG of :class:`~repro.linalg.MultilevelEigensolver`,
+   warm-starting the finest level with the previous iteration's
+   eigenvectors.
 
 The two phases are timed into the ``coarsen`` and ``refine`` stages of the
 learner's :class:`~repro.core.instrumentation.StageTimings`, so benchmark
@@ -26,13 +26,13 @@ Accuracy note: the refined eigenvectors are approximate (residuals around
 ``1e-3``-relative at default settings), which is embedding-grade — the
 embedding only feeds a *ranking* of candidate edges, and the acceptance
 benchmark requires the learned graph's resistance correlation to stay within
-0.01 of the stateless engine's.
+0.01 of an exact cold solve's.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Literal
 
 import numpy as np
@@ -69,25 +69,6 @@ class MultilevelEngineStats:
         eigensolve.
     n_levels:
         Depth of the most recent hierarchy (0 for dense solves).
-    chebyshev_accepts:
-        Levels whose mixed-precision Chebyshev refinement passed the
-        float64 acceptance residual (summed over refreshes; stays 0 for
-        the lobpcg backend).
-    chebyshev_fallbacks:
-        Levels rejected by the acceptance check and re-refined by the
-        float64 LOBPCG path.
-    chebyshev_bypasses:
-        Levels whose spectrum was detected as polynomial-intractable up
-        front (wanted eigenvalues so far below the spectral bound that the
-        required filter degree exceeds the affordable cap — the near-tree
-        SGL regime) and rerouted to float64 LOBPCG on the orthonormalised
-        full basis without paying any filter cost.  An *explained*
-        reroute, reported separately from the quality ``fallbacks``.
-    refresh_skips:
-        Refreshes answered from the cached previous embedding because the
-        edge churn since the last full V-cycle was below the engine's
-        ``refresh_skip_churn`` threshold (chebyshev backend only; a subset
-        of ``refreshes``).
     """
 
     refreshes: int = 0
@@ -96,25 +77,10 @@ class MultilevelEngineStats:
     reprojections: int = 0
     dense_solves: int = 0
     n_levels: int = 0
-    chebyshev_accepts: int = 0
-    chebyshev_fallbacks: int = 0
-    chebyshev_bypasses: int = 0
-    refresh_skips: int = 0
 
     def as_dict(self) -> dict:
         """JSON-ready mapping embedded in benchmark artifacts."""
-        return {
-            "refreshes": self.refreshes,
-            "hierarchy_builds": self.hierarchy_builds,
-            "churn_rebuilds": self.churn_rebuilds,
-            "reprojections": self.reprojections,
-            "dense_solves": self.dense_solves,
-            "n_levels": self.n_levels,
-            "chebyshev_accepts": self.chebyshev_accepts,
-            "chebyshev_fallbacks": self.chebyshev_fallbacks,
-            "chebyshev_bypasses": self.chebyshev_bypasses,
-            "refresh_skips": self.refresh_skips,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class MultilevelEmbeddingEngine:
@@ -140,31 +106,24 @@ class MultilevelEmbeddingEngine:
         the SGL loop).  The warm block doubles the finest basis width, so a
         half budget there recovers the same embedding-grade subspace at
         roughly half the refresh cost (measured on the paper-tier circuit:
-        no resistance-correlation regression vs the stateless engine).
+        no resistance-correlation regression vs cold solves).
     warm_coarse_steps:
         Coarse-level budget on warm refreshes.  Warm finest-level vectors
         already anchor the subspace, so the coarse sweep only needs token
         smoothing; cutting it is where the engine's per-iteration win over
         a cold V-cycle comes from (coarse levels jointly cost 2-3x the
         finest one).
-    refinement, preconditioner:
-        Refinement backend (``"lobpcg"`` / ``"chebyshev"``) and
-        preconditioner forwarded to the multilevel solver.  The chebyshev
-        backend is matrix-free mixed-precision Chebyshev-filtered subspace
-        iteration on warm refreshes; cold V-cycles (hierarchy builds and
-        churn rebuilds) are seeded with the float64 LOBPCG reference path,
-        because they run once per build but anchor the whole densification
-        trajectory.  A warm level whose
-        float64 acceptance residual rejects the filtered subspace falls
-        back to preconditioned LOBPCG (counted in ``stats``).  The engine
-        defaults to ``"spanning-tree"`` support-graph preconditioning: the
-        graphs the SGL loop embeds are a spanning tree plus a handful of
-        added edges, on which tree preconditioners are near-exact (jacobi
-        refinement stalls there, overestimating the small eigenvalues and
-        silently shrinking every embedding distance).  The per-level
-        preconditioners are built once per hierarchy build and reused
-        across refreshes — valid because densification only ever adds
-        edges, so a stored spanning tree keeps spanning every later graph.
+    preconditioner:
+        LOBPCG preconditioner forwarded to the multilevel solver.  The
+        engine defaults to ``"spanning-tree"`` support-graph
+        preconditioning: the graphs the SGL loop embeds are a spanning
+        tree plus a handful of added edges, on which tree preconditioners
+        are near-exact (jacobi refinement stalls there, overestimating the
+        small eigenvalues and silently shrinking every embedding distance).
+        The per-level preconditioners are built once per hierarchy build
+        and reused across refreshes — valid because densification only
+        ever adds edges, so a stored spanning tree keeps spanning every
+        later graph.
     guard_vectors:
         Extra trailing eigenpairs carried through the V-cycle beyond the
         ``r - 1`` the embedding needs.  Same rationale as the incremental
@@ -176,22 +135,6 @@ class MultilevelEmbeddingEngine:
         more than this fraction since the hierarchy was built; below it the
         stored matchings are reused and only the Galerkin coarse graphs are
         recomputed.  ``0`` rebuilds on every refresh that changed the graph.
-    refine_dtype, chebyshev_degree:
-        Chebyshev knobs forwarded to the solver: filtering precision
-        (``"float32"`` default) and filter polynomial degree.  Ignored by
-        the lobpcg backend.
-    refresh_skip_churn:
-        Chebyshev-backend-only refresh elision: when the caller reports
-        ``added_edges`` and the relative churn ``len(added_edges) /
-        graph.n_edges`` is at or below this fraction, the refresh returns
-        the cached previous embedding without running a V-cycle.  In the
-        SGL densification tail the loop adds a handful of edges per
-        iteration (relative churn around ``5e-5`` at the paper tier) whose
-        effect on the embedding is far below refinement accuracy, so the
-        stale embedding ranks the next candidate batch identically while
-        saving a full finest-level solve.  ``0`` disables skipping.  The
-        lobpcg backend never skips, keeping the default engine
-        bit-compatible with earlier releases.
     max_levels, min_coarsening_ratio:
         Hierarchy stopping controls.
     seed:
@@ -221,11 +164,7 @@ class MultilevelEmbeddingEngine:
         refinement_steps: int = 10,
         warm_refinement_steps: int | None = 5,
         warm_coarse_steps: int = 1,
-        refinement: Literal["lobpcg", "chebyshev"] = "lobpcg",
         preconditioner: Literal["jacobi", "spanning-tree"] = "spanning-tree",
-        refine_dtype: str = "float32",
-        chebyshev_degree: int = 10,
-        refresh_skip_churn: float = 5.5e-5,
         guard_vectors: int = 2,
         churn_threshold: float = 0.1,
         max_levels: int = 30,
@@ -242,9 +181,6 @@ class MultilevelEmbeddingEngine:
             raise ValueError("warm refinement budgets must be non-negative")
         if guard_vectors < 0:
             raise ValueError("guard_vectors must be non-negative")
-        if refresh_skip_churn < 0:
-            raise ValueError("refresh_skip_churn must be non-negative")
-        self.refresh_skip_churn = float(refresh_skip_churn)
         self.guard_vectors = int(guard_vectors)
         self.warm_refinement_steps = int(warm_refinement_steps)
         self.warm_coarse_steps = int(warm_coarse_steps)
@@ -255,10 +191,7 @@ class MultilevelEmbeddingEngine:
         self.solver = MultilevelEigensolver(
             coarse_size=coarse_size,
             refinement_steps=refinement_steps,
-            refinement=refinement,
             preconditioner=preconditioner,
-            refine_dtype=refine_dtype,
-            chebyshev_degree=chebyshev_degree,
             max_levels=max_levels,
             min_coarsening_ratio=min_coarsening_ratio,
             seed=seed,
@@ -270,7 +203,6 @@ class MultilevelEmbeddingEngine:
         self._last_graph: WeightedGraph | None = None
         self._vectors: np.ndarray | None = None
         self._n_nodes: int | None = None
-        self._cached_embedding: SpectralEmbedding | None = None
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
@@ -280,7 +212,6 @@ class MultilevelEmbeddingEngine:
         self._last_graph = None
         self._vectors = None
         self._n_nodes = None
-        self._cached_embedding = None
         self.last_mode = None
 
     @property
@@ -291,9 +222,6 @@ class MultilevelEmbeddingEngine:
     # ------------------------------------------------------------------
     def _build(self, graph: WeightedGraph) -> CoarseningHierarchy:
         self._hierarchy = self.solver.build_hierarchy(graph)
-        # Built for every backend: the chebyshev path needs them too, for
-        # the cold reference V-cycle that seeds each hierarchy and for any
-        # level whose spectrum bypasses (or falls back from) the filter.
         self._preconditioners = self.solver.build_preconditioners(
             graph, self._hierarchy
         )
@@ -353,24 +281,6 @@ class MultilevelEmbeddingEngine:
         k_work = min(k + self.guard_vectors, n - 1)
         self.stats.refreshes += 1
 
-        if (
-            self.solver.refinement == "chebyshev"
-            and self.refresh_skip_churn > 0
-            and self._cached_embedding is not None
-            and self._n_nodes == n
-            and added_edges is not None
-            and 0 < len(added_edges) <= self.refresh_skip_churn * graph.n_edges
-        ):
-            # Densification-tail elision: the reported batch perturbs the
-            # Laplacian by less than refinement accuracy, so the previous
-            # embedding still ranks candidates identically.  Warm vectors
-            # and hierarchy are left untouched — the next non-trivial
-            # refresh reprojects from them exactly as it would have.
-            self.stats.refresh_skips += 1
-            self.last_mode = "skip"
-            set_attributes(mode="skip", refresh_skips=self.stats.refresh_skips)
-            return self._cached_embedding
-
         coarsen_stage = nullcontext() if timings is None else timings.stage("coarsen")
         refine_stage = nullcontext() if timings is None else timings.stage("refine")
 
@@ -394,14 +304,6 @@ class MultilevelEmbeddingEngine:
             steps = None  # solver default (cold budget, every level)
             if warm is not None and self.last_mode in ("reuse", "reproject"):
                 steps = [self.warm_refinement_steps, self.warm_coarse_steps]
-            refinement = None
-            if self.solver.refinement == "chebyshev" and steps is None:
-                # Cold V-cycles run once per hierarchy build but seed the
-                # whole densification trajectory the warm refreshes then
-                # follow; spend the float64 reference path there and keep
-                # the mixed-precision filter for the repeated warm solves,
-                # where the refresh cost actually lives.
-                refinement = "lobpcg"
             with refine_stage:
                 set_attributes(
                     n_levels=hierarchy.n_levels,
@@ -415,28 +317,10 @@ class MultilevelEmbeddingEngine:
                     initial_vectors=warm,
                     preconditioners=self._preconditioners,
                     refinement_steps=steps,
-                    refinement=refinement,
                 )
-                rstats = result.refine_stats
-                if self.solver.refinement == "chebyshev":
-                    self.stats.chebyshev_accepts += int(rstats.get("accepts", 0))
-                    self.stats.chebyshev_fallbacks += int(rstats.get("fallbacks", 0))
-                    self.stats.chebyshev_bypasses += int(rstats.get("bypasses", 0))
-                    set_attributes(
-                        filter_degree=rstats.get(
-                            "filter_degree", self.solver.chebyshev_degree
-                        ),
-                        refine_dtype=rstats.get("dtype", str(self.solver.refine_dtype)),
-                        acceptance_residual=float(rstats.get("residual", 0.0)),
-                        chebyshev_fallbacks=int(rstats.get("fallbacks", 0)),
-                        chebyshev_bypasses=int(rstats.get("bypasses", 0)),
-                    )
             values, vectors = result.eigenvalues, result.eigenvectors
 
         self._last_graph = graph
         self._vectors = vectors
         self._n_nodes = n
-        embedding = embedding_from_eigenpairs(values[:k], vectors[:, :k], self.sigma_sq)
-        if self.solver.refinement == "chebyshev":
-            self._cached_embedding = embedding
-        return embedding
+        return embedding_from_eigenpairs(values[:k], vectors[:, :k], self.sigma_sq)

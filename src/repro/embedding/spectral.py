@@ -17,7 +17,7 @@ warm-started :class:`~repro.embedding.engine.EmbeddingEngine` instead and
 only falls back to this function for cold solves.
 :class:`StatelessEmbeddingEngine` puts this function behind the engine
 interface (``refresh(graph, added_edges, *, timings)``) that the loop
-drives, for ``embedding_engine="stateless"`` and for the sharded stitch.
+drives, for the sharded stitch's correction sweeps.
 """
 
 from __future__ import annotations

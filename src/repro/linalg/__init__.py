@@ -14,16 +14,9 @@ Laplacians (singular, symmetric, diagonally dominant M-matrices):
   approximated) -- :mod:`repro.linalg.pseudoinverse`.
 
 The multilevel solver refines each level with LOBPCG, preconditioned by
-:mod:`repro.linalg.preconditioners`, or with the mixed-precision
-Chebyshev-filtered subspace iteration of :mod:`repro.linalg.chebyshev`.
+:mod:`repro.linalg.preconditioners`.
 """
 
-from repro.linalg.chebyshev import (
-    ChebyshevOutcome,
-    chebyshev_filter,
-    chebyshev_refine,
-    lanczos_spectral_bound,
-)
 from repro.linalg.solvers import LaplacianSolver
 from repro.linalg.preconditioners import (
     jacobi_preconditioner,
@@ -38,7 +31,7 @@ from repro.linalg.coarsening import (
     contract_graph,
     heavy_edge_matching,
 )
-from repro.linalg.multilevel import REFINEMENT_BACKENDS, MultilevelEigensolver
+from repro.linalg.multilevel import MultilevelEigensolver
 from repro.linalg.pseudoinverse import (
     effective_resistance,
     effective_resistance_matrix,
@@ -47,11 +40,6 @@ from repro.linalg.pseudoinverse import (
 )
 
 __all__ = [
-    "ChebyshevOutcome",
-    "REFINEMENT_BACKENDS",
-    "chebyshev_filter",
-    "chebyshev_refine",
-    "lanczos_spectral_bound",
     "LaplacianSolver",
     "jacobi_preconditioner",
     "spanning_tree_preconditioner",

@@ -52,7 +52,8 @@ import numpy as np
 from repro.core.config import SGLConfig
 from repro.core.instrumentation import StageTimings
 from repro.core.scaling import spectral_edge_scaling
-from repro.core.sgl import DensifyState, SGLearner, SGLResult, densify, make_engine
+from repro.core.sgl import DensifyState, SGLearner, SGLResult, densify
+from repro.embedding.spectral import StatelessEmbeddingEngine
 from repro.graphs.graph import WeightedGraph
 from repro.knn.knn_graph import knn_graph
 from repro.knn.mst import maximum_spanning_tree
@@ -450,8 +451,12 @@ class ShardedSGLearner:
             if config.embedding_engine == "multilevel"
             else config.eigensolver
         )
-        engine = make_engine(
-            dataclasses.replace(config, embedding_engine="stateless", eigensolver=method)
+        engine = StatelessEmbeddingEngine(
+            config.r,
+            sigma_sq=config.sigma_sq,
+            method=method,
+            seed=config.seed,
+            multilevel_coarse_size=config.multilevel_coarse_size,
         )
         # The pool is every candidate edge the stitched graph still lacks
         # (shards can also learn non-candidate edges — connectivity

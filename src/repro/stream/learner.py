@@ -121,8 +121,7 @@ class OnlineSGLearner:
     config:
         The :class:`~repro.core.SGLConfig` for full (re)fits and for the
         incremental updates; keyword overrides may be passed instead, as
-        with ``SGLearner``.  The online path needs a warm-capable engine, so
-        ``embedding_engine`` must not be ``"stateless"``.
+        with ``SGLearner``.
     drift:
         The refit/incremental decision policy; a default
         :class:`~repro.stream.DriftDetector` is built otherwise.
@@ -160,11 +159,6 @@ class OnlineSGLearner:
             config = SGLConfig(**overrides)
         elif overrides:
             raise ValueError("pass either a config object or keyword overrides, not both")
-        if config.embedding_engine == "stateless":
-            raise ValueError(
-                "OnlineSGLearner needs a warm-capable engine; "
-                "use embedding_engine='incremental' or 'multilevel'"
-            )
         if max_window is not None and max_window < 1:
             raise ValueError("max_window must be positive")
         if incremental_iterations < 1:

@@ -88,7 +88,7 @@ class TestRoundTrip:
         assert artifact.meta["source"] == "SGLearner.fit"
 
     def test_custom_config_round_trip(self, tmp_path):
-        config = SGLConfig(k=7, r=4, sigma_sq=2.5, embedding_engine="stateless")
+        config = SGLConfig(k=7, r=4, sigma_sq=2.5, embedding_engine="multilevel")
         graph = grid_2d(4, 4)
         path = save_artifact(graph, config, tmp_path / "m.npz")
         artifact = load_result(path)
@@ -213,13 +213,15 @@ class TestValidation:
             load_result(bad)
 
     def test_stored_compute_backend_field_is_dropped(self, learned, tmp_path):
-        # Artifacts written before the compute-backend seam was removed carry
-        # a ``linalg_backend`` key in their stored config.
+        # Artifacts written before the compute-backend seam and the multilevel
+        # engine's second refinement backend were removed carry their keys in
+        # the stored config.
+        dropped = {"linalg_backend": "numpy", "refinement_backend": "lobpcg", "refine_dtype": "float32"}
         path = save_result(learned, tmp_path / "m.npz")
         old = self._with_meta(
             path,
             tmp_path / "old.npz",
-            lambda m: {**m, "config": {**m["config"], "linalg_backend": "numpy"}},
+            lambda m: {**m, "config": {**m["config"], **dropped}},
         )
         artifact = load_result(old)
         assert artifact.config == learned.config
@@ -229,13 +231,15 @@ class TestValidation:
 
     def test_removed_config_value_rejected(self, learned, tmp_path):
         path = save_result(learned, tmp_path / "m.npz")
-        bad = self._with_meta(
-            path,
-            tmp_path / "nsw.npz",
-            lambda m: {**m, "config": {**m["config"], "knn_backend": "nsw"}},
-        )
-        with pytest.raises(ArtifactFormatError, match="knn_backend"):
-            load_result(bad)
+        removed = {"knn_backend": "nsw", "embedding_engine": "stateless", "eigensolver": "multilevel"}
+        for key, value in removed.items():
+            bad = self._with_meta(
+                path,
+                tmp_path / f"{key}.npz",
+                lambda m: {**m, "config": {**m["config"], key: value}},
+            )
+            with pytest.raises(ArtifactFormatError, match=key):
+                load_result(bad)
 
     def test_wrong_dtype_rejected(self, learned, tmp_path):
         path = save_result(learned, tmp_path / "m.npz")

@@ -80,6 +80,14 @@ def test_sgl_record_contents(tiny_records):
     assert record.info["converged"]
 
 
+def test_baseline_record_carries_one_sample_per_repeat(tiny_records):
+    # The compare gate keeps each record's fastest sample; a baseline timed
+    # once against the learner's two would let one stall fail the gate.
+    baseline = tiny_records[1]
+    assert len(baseline.wall_seconds) == 2
+    assert all(seconds > 0 for seconds in baseline.wall_seconds)
+
+
 def test_record_dict_roundtrip(tiny_records):
     record = tiny_records[0]
     rebuilt = BenchRecord.from_dict(json.loads(json.dumps(record.as_dict())))

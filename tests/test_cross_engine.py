@@ -1,6 +1,8 @@
-"""Cross-engine golden tests: stateless vs incremental vs multilevel.
+"""Cross-engine golden tests: incremental and multilevel vs the stateless reference.
 
-Two layers of agreement, on small fixtures where exact references are cheap:
+The stateless reference solves cold on every refresh
+(:class:`~repro.embedding.StatelessEmbeddingEngine`).  Two layers of
+agreement, on small fixtures where exact references are cheap:
 
 * **Eigenpair agreement** — the three engines refresh the same graph and the
   spanned embedding subspaces must agree (principal angles), because the
@@ -24,6 +26,7 @@ from repro.embedding import (
 from repro.graphs.generators import grid_2d, random_geometric_graph
 from repro.measurements import simulate_measurements
 from repro.metrics.resistance import resistance_correlation
+from stateless_reference import engine_under_test
 
 ENGINES = ("stateless", "incremental", "multilevel")
 
@@ -101,8 +104,10 @@ def engine_results(fixture_problem):
     truth, data = fixture_problem
     results = {}
     for name in ENGINES:
-        config = SGLConfig(beta=0.02, embedding_engine=name, multilevel_coarse_size=64)
-        results[name] = SGLearner(config).fit(data)
+        value, context = engine_under_test(name)
+        config = SGLConfig(beta=0.02, embedding_engine=value, multilevel_coarse_size=64)
+        with context:
+            results[name] = SGLearner(config).fit(data)
     return results
 
 

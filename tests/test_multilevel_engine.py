@@ -37,18 +37,17 @@ def _near_tree_graph():
 
 
 @pytest.mark.parametrize(
-    "refinement, preconditioner, graph_kind, rtol",
+    "preconditioner, graph_kind, rtol",
     [
-        ("lobpcg", "jacobi", "grid", 2e-2),
-        ("lobpcg", "spanning-tree", "grid", 2e-2),
-        ("lobpcg", "spanning-tree", "near-tree", 1e-3),
+        ("jacobi", "grid", 2e-2),
+        ("spanning-tree", "grid", 2e-2),
+        ("spanning-tree", "near-tree", 1e-3),
     ],
 )
-def test_solver_matches_dense_reference(refinement, preconditioner, graph_kind, rtol):
+def test_solver_matches_dense_reference(preconditioner, graph_kind, rtol):
     graph = grid_2d(16, 16) if graph_kind == "grid" else _near_tree_graph()
     solver = MultilevelEigensolver(
         coarse_size=32,
-        refinement=refinement,
         preconditioner=preconditioner,
         refinement_steps=20,
     )
@@ -93,9 +92,6 @@ def test_solver_validation_errors():
         MultilevelEigensolver(coarse_size=2)
     with pytest.raises(ValueError):
         MultilevelEigensolver(refinement_steps=-1)
-    for refinement in ("gauss-seidel", "inverse-power"):
-        with pytest.raises(ValueError):
-            MultilevelEigensolver(refinement=refinement)
     with pytest.raises(ValueError):
         MultilevelEigensolver(preconditioner="ilu")
     with pytest.raises(ValueError):
@@ -263,10 +259,6 @@ def test_engine_stats_dict_round_trip():
         "reprojections",
         "dense_solves",
         "n_levels",
-        "chebyshev_accepts",
-        "chebyshev_fallbacks",
-        "chebyshev_bypasses",
-        "refresh_skips",
     }
 
 
@@ -276,14 +268,14 @@ def test_engine_stats_dict_round_trip():
 def test_config_accepts_multilevel_engine():
     config = SGLConfig(embedding_engine="multilevel", multilevel_churn_threshold=0.25)
     assert config.embedding_engine == "multilevel"
-    with pytest.raises(ValueError):
-        SGLConfig(embedding_engine="galerkin")
+    for removed in ("galerkin", "stateless"):
+        with pytest.raises(ValueError, match="embedding_engine"):
+            SGLConfig(embedding_engine=removed)
     with pytest.raises(ValueError):
         SGLConfig(multilevel_churn_threshold=-1.0)
-    with pytest.raises(ValueError, match="eigensolver"):
-        SGLConfig(eigensolver="lobpcg")
-    with pytest.raises(ValueError, match="refinement_backend"):
-        SGLConfig(refinement_backend="inverse-power")
+    for removed in ("lobpcg", "multilevel"):
+        with pytest.raises(ValueError, match="eigensolver"):
+            SGLConfig(eigensolver=removed)
 
 
 def test_hierarchy_slicing_and_sequence_protocol():

@@ -278,7 +278,7 @@ class TestOnlineSGLearner:
             assert "edge_scaling" in stages
 
     def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="warm-capable"):
+        with pytest.raises(ValueError, match="embedding_engine"):
             OnlineSGLearner(embedding_engine="stateless")
         with pytest.raises(ValueError, match="max_window"):
             OnlineSGLearner(max_window=0)
