@@ -47,6 +47,7 @@ from repro.embedding.spectral import SpectralEmbedding, StatelessEmbeddingEngine
 from repro.graphs.graph import WeightedGraph
 from repro.knn.knn_graph import knn_graph
 from repro.knn.mst import maximum_spanning_tree
+from repro.linalg.solvers import LaplacianSolver
 from repro.linalg.threads import single_threaded_blas
 from repro.measurements.generator import MeasurementSet
 from repro.measurements.validation import check_measurements
@@ -189,6 +190,19 @@ class DensifyState:
             self.pending = None
         return self.embedding
 
+    def solver(self) -> LaplacianSolver | None:
+        """The engine's factor of ``graph``, or None when it holds none.
+
+        Only an :class:`~repro.embedding.EmbeddingEngine` whose last refresh
+        factorised this very graph object has one
+        (:meth:`~repro.embedding.EmbeddingEngine.solver_for`).  With
+        ``pending`` edges, after a caller put back an older graph, or with
+        another engine, Step 5 builds its own.
+        """
+        if isinstance(self.engine, EmbeddingEngine):
+            return self.engine.solver_for(self.graph)
+        return None
+
     def add(self, chosen: np.ndarray) -> np.ndarray:
         """Move the pool entries ``chosen`` into the graph (Step 4).
 
@@ -200,7 +214,18 @@ class DensifyState:
         if chosen.size == 0:
             return keep
         edges = self.pool_edges[chosen]
-        self.graph = self.graph.add_edges(edges, self.pool_weights[chosen])
+        # Pool edges are canonical and never in the graph, so one sorted
+        # insert gives the canonical arrays add_edges would re-sort into.
+        graph = self.graph
+        keys = edges[:, 0] * np.int64(graph.n_nodes) + edges[:, 1]
+        order = np.argsort(keys)
+        at = np.searchsorted(graph._packed_keys(), keys[order])
+        self.graph = WeightedGraph._from_canonical(
+            graph.n_nodes,
+            np.insert(graph.rows, at, edges[order, 0]),
+            np.insert(graph.cols, at, edges[order, 1]),
+            np.insert(graph.weights, at, self.pool_weights[chosen][order]),
+        )
         keep[chosen] = False
         self.pool_edges = self.pool_edges[keep]
         self.pool_weights = self.pool_weights[keep]
@@ -478,7 +503,9 @@ class SGLearner:
         scaling_factor = 1.0
         if config.edge_scaling and currents is not None:
             with timings.stage("edge_scaling"):
-                graph, scaling_factor = spectral_edge_scaling(graph, voltages, currents)
+                graph, scaling_factor = spectral_edge_scaling(
+                    graph, voltages, currents, solver=state.solver()
+                )
 
         result = SGLResult(
             graph=graph,

@@ -16,16 +16,23 @@ refreshes it with an escalation ladder, cheapest first:
    updates are accepted outright.
 2. **Warm-started block-Krylov inverse iteration**: an inverse-iteration tower
    ``[V, L^-1 V, L^-2 V, ...]`` grown from the previous eigenvectors with
-   *exact* solves against the current Laplacian, served by a stale grounded
-   LU factorisation plus a Woodbury low-rank correction for the edges added
-   since (:class:`_IncrementalLaplacianInverse`) — no per-iteration
-   refactorisation.  The tower depth is adaptive (remembered across
-   refreshes), and one Rayleigh-Ritz projection per convergence check turns
-   the tower into eigenpairs plus a built-in Ritz-value-drift estimate.
+   *exact* solves against the current Laplacian.  The solves run on one
+   grounded sparse LU of the current graph, factorised once per refresh
+   that sees a new graph: the graphs the loop produces stay near-trees, so
+   that factor costs a few milliseconds at 10k nodes, less than keeping a
+   stale factor exact with a low-rank correction on every solve.  The
+   tower depth is adaptive (remembered across refreshes), and one
+   Rayleigh-Ritz projection per convergence check turns the tower into
+   eigenpairs plus a built-in Ritz-value-drift estimate.
 3. **Cold solve fallback**: the stateless path, also used for the first
    refresh and whenever the warm residuals fail the acceptance test — so a
    convergence failure can never produce a worse embedding than the
-   stateless engine, only a slower iteration.
+   stateless engine, only a slower iteration.  A cold solve runs its
+   Lanczos iteration on the same factor the warm path uses.
+
+After a refresh the factor belongs to the refreshed graph, and
+:meth:`EmbeddingEngine.solver_for` hands it on, so Step 5 (the edge scaling,
+which needs the same factor) does not factorise the graph a second time.
 
 The acceptance test is *eigenvalue-relative* (``||L u - theta u|| <=
 warm_tol * theta``), because the embedding scales coordinates by
@@ -51,7 +58,7 @@ import scipy.sparse as sp
 from repro.embedding.spectral import SpectralEmbedding, embedding_from_eigenpairs
 from repro.graphs.graph import WeightedGraph
 from repro.linalg.eigen import laplacian_eigenpairs
-from repro.linalg.solvers import grounded_splu
+from repro.linalg.solvers import LaplacianSolver
 
 __all__ = ["EmbeddingEngine", "EngineStats"]
 
@@ -64,120 +71,6 @@ _NUMERICAL_FAILURES = (RuntimeError, ValueError, ArithmeticError, np.linalg.LinA
 
 def _mean_free(block: np.ndarray) -> np.ndarray:
     return block - block.mean(axis=0, keepdims=True)
-
-
-class _IncrementalLaplacianInverse:
-    """Exact mean-free solves with an incrementally updated Laplacian.
-
-    Holds a grounded sparse LU factorisation of a *base* Laplacian plus a
-    Woodbury correction for the rank-``m`` edge update accumulated since:
-
-        (L_base + U diag(w) U^T)^+ b
-            = L_base^+ b - Z (diag(1/w) + U^T Z)^{-1} U^T L_base^+ b
-
-    with ``U`` the oriented incidence columns of the updated edges and
-    ``Z = L_base^+ U`` cached.  ``update`` appends whatever changed between
-    the previous and the current Laplacian (additions, removals or weight
-    changes all become signed ``w`` entries), and refactorises from scratch
-    once the correction rank exceeds ``max_corrections`` — keeping every
-    solve exact while amortising factorisations over many small updates.
-    """
-
-    def __init__(self, graph: WeightedGraph, *, max_corrections: int | None = None) -> None:
-        n = graph.n_nodes
-        if max_corrections is None:
-            max_corrections = max(48, n // 48)
-        self.max_corrections = int(max_corrections)
-        self.n_factorizations = 0
-        self._n = n
-        self._keep = np.ones(n, dtype=bool)
-        self._keep[0] = False
-        self._refactorize(graph.laplacian().tocsr())
-
-    # -- base factorisation -------------------------------------------------
-    def _refactorize(self, lap: sp.csr_matrix) -> None:
-        self._lu = grounded_splu(lap[self._keep][:, self._keep])
-        self._current_lap = lap
-        # Preallocated correction buffers; only the first `_m` entries are
-        # live, so growing by a batch never re-copies the accumulated state.
-        cap = self.max_corrections
-        self._src = np.empty(cap, dtype=np.int64)
-        self._dst = np.empty(cap, dtype=np.int64)
-        self._weights = np.empty(cap, dtype=np.float64)
-        self._Z = np.empty((self._n, cap), dtype=np.float64)
-        self._m = 0
-        self._capacitance_lu = None
-        self.n_factorizations += 1
-
-    def _base_solve(self, block: np.ndarray, *, project_input: bool = True) -> np.ndarray:
-        block = np.asarray(block, dtype=np.float64).reshape(self._n, -1)
-        if project_input:
-            block = _mean_free(block)
-        out = np.zeros_like(block)
-        out[self._keep] = self._lu.solve(block[self._keep])
-        return _mean_free(out)
-
-    @property
-    def n_corrections(self) -> int:
-        """Current rank of the Woodbury correction."""
-        return self._m
-
-    # -- incremental update -------------------------------------------------
-    def update(self, graph: WeightedGraph) -> bool:
-        """Absorb the difference between ``graph`` and the last seen graph.
-
-        Additions, removals and weight changes all become signed correction
-        columns.  Returns True when a batch was absorbed incrementally;
-        False when nothing changed or when the correction budget overflowed
-        and a full refactorisation swallowed the difference instead (either
-        way, subsequent solves are exact for ``graph``).
-        """
-        lap = graph.laplacian().tocsr()
-        delta = (lap - self._current_lap).tocoo()
-        upper = (delta.row < delta.col) & (delta.data != 0)
-        src, dst = delta.row[upper].astype(np.int64), delta.col[upper].astype(np.int64)
-        weights = -delta.data[upper]  # off-diagonal of L is -w
-        if src.size == 0:
-            self._current_lap = lap
-            return False
-        if self._m + src.size > self.max_corrections:
-            self._refactorize(lap)
-            return False
-        self._current_lap = lap
-        new_u = np.zeros((self._n, src.size))
-        new_u[src, np.arange(src.size)] = 1.0
-        new_u[dst, np.arange(src.size)] = -1.0
-        lo, hi = self._m, self._m + src.size
-        self._src[lo:hi] = src
-        self._dst[lo:hi] = dst
-        self._weights[lo:hi] = weights
-        # Edge-difference columns are mean-free by construction.
-        self._Z[:, lo:hi] = self._base_solve(new_u, project_input=False)
-        self._m = hi
-        # Capacitance matrix S = diag(1/w) + U^T Z; U^T picks endpoint rows.
-        live = self._Z[:, :hi]
-        capacitance = live[self._src[:hi]] - live[self._dst[:hi]]
-        capacitance = capacitance + np.diag(1.0 / self._weights[:hi])
-        self._capacitance_lu = scipy.linalg.lu_factor(capacitance)
-        return True
-
-    # -- solves -------------------------------------------------------------
-    def solve(self, block: np.ndarray, *, project_input: bool = True) -> np.ndarray:
-        """Exact mean-free solution of the *current* Laplacian system.
-
-        Pass ``project_input=False`` when the right-hand sides are already
-        mean-free (e.g. inside the engine's inverse-iteration tower, whose
-        vectors stay mean-free by construction) to skip a projection pass.
-        """
-        x0 = self._base_solve(block, project_input=project_input)
-        m = self._m
-        if m == 0:
-            return x0
-        rhs_small = x0[self._src[:m]] - x0[self._dst[:m]]
-        correction = scipy.linalg.lu_solve(self._capacitance_lu, rhs_small)
-        out = x0
-        out -= self._Z[:, :m] @ correction
-        return _mean_free(out)
 
 
 @dataclass
@@ -196,7 +89,8 @@ class EngineStats:
         Warm attempts whose residuals failed the acceptance test, forcing a
         cold re-solve (these are counted in ``cold_solves`` too).
     factorizations:
-        Sparse LU factorisations performed by the incremental solver.
+        Sparse LU factorisations of the engine's solver: one per refresh
+        that sees a graph the last factor was not built from.
     """
 
     cold_solves: int = 0
@@ -280,9 +174,6 @@ class EmbeddingEngine:
     warm_min_nodes:
         Below this many nodes the engine always solves cold — dense solves
         on tiny graphs are cheaper than bookkeeping.
-    max_corrections:
-        Woodbury correction rank after which the incremental solver
-        refactorises (default ``max(48, n_nodes // 48)``).
     max_consecutive_fallbacks:
         After this many warm failures in a row the engine stops attempting
         warm starts for the rest of its lifetime (automatic degradation to
@@ -323,7 +214,6 @@ class EmbeddingEngine:
         guard_vectors: int = 2,
         max_depth: int = 8,
         warm_min_nodes: int = 128,
-        max_corrections: int | None = None,
         max_consecutive_fallbacks: int = 3,
     ) -> None:
         if r < 2:
@@ -349,7 +239,6 @@ class EmbeddingEngine:
         self.guard_vectors = int(guard_vectors)
         self.max_depth = int(max_depth)
         self.warm_min_nodes = int(warm_min_nodes)
-        self.max_corrections = max_corrections
         self.max_consecutive_fallbacks = int(max_consecutive_fallbacks)
 
         self.stats = EngineStats()
@@ -357,8 +246,9 @@ class EmbeddingEngine:
         self._values: np.ndarray | None = None
         self._vectors: np.ndarray | None = None
         self._n_nodes: int | None = None
-        self._inverse: _IncrementalLaplacianInverse | None = None
-        self._inverse_factorizations_seen = 0
+        # The factor of the last refreshed graph, and that graph.
+        self._solver: LaplacianSolver | None = None
+        self._solver_graph: WeightedGraph | None = None
         self._krylov_depth = 2
         self._consecutive_fallbacks = 0
         self._warm_disabled = False
@@ -369,27 +259,37 @@ class EmbeddingEngine:
         self._values = None
         self._vectors = None
         self._n_nodes = None
-        self._sync_factorizations()
-        self._inverse = None
-        self._inverse_factorizations_seen = 0
+        self._solver = None
+        self._solver_graph = None
         self._krylov_depth = 2
         self._consecutive_fallbacks = 0
         self._warm_disabled = False
         self.last_mode = None
 
-    def _sync_factorizations(self) -> None:
-        """Fold the live inverse's factorisation count into the stats.
+    def _factorize(self, graph: WeightedGraph) -> bool:
+        """Make the engine's solver the factor of ``graph``; True if it was rebuilt.
 
-        Accumulates deltas rather than overwriting, so factorisations done
-        by inverses later discarded (e.g. replaced after a fallback cold
-        solve) stay counted.
+        Graphs are immutable, so the factor of the same object is kept.  On
+        a numerical failure the engine is left without a solver and the
+        exception propagates.
         """
-        if self._inverse is None:
-            return
-        delta = self._inverse.n_factorizations - self._inverse_factorizations_seen
-        if delta > 0:
-            self.stats.factorizations += delta
-            self._inverse_factorizations_seen = self._inverse.n_factorizations
+        if graph is self._solver_graph:
+            return False
+        self._solver = self._solver_graph = None
+        self._solver = LaplacianSolver(graph)
+        self._solver_graph = graph
+        self.stats.factorizations += 1
+        return True
+
+    def solver_for(self, graph: WeightedGraph) -> LaplacianSolver | None:
+        """The engine's factor when it was built from ``graph`` itself, else None.
+
+        After a refresh of ``graph`` the engine holds the grounded LU of that
+        very object, which is what Step 5 (:func:`repro.core.scaling.
+        spectral_edge_scaling`) factorises too.  Any other graph, even one
+        with the same edges, gets None, so a caller builds its own solver.
+        """
+        return self._solver if graph is self._solver_graph else None
 
     @property
     def has_state(self) -> bool:
@@ -397,35 +297,16 @@ class EmbeddingEngine:
         return self._vectors is not None
 
     # ------------------------------------------------------------------
+    @staticmethod
     def _relative_residuals(
-        self,
-        lap: sp.csr_matrix,
-        values: np.ndarray,
+        lap_vectors: np.ndarray,
         vectors: np.ndarray,
+        values: np.ndarray,
         scale: float,
-        k: int,
     ) -> np.ndarray:
-        """``||L u_i - theta_i u_i|| / theta_i`` for the first ``k`` pairs."""
-        values, vectors = values[:k], vectors[:, :k]
-        residual = lap @ vectors - vectors * values[None, :]
-        norms = np.linalg.norm(residual, axis=0)
+        """``||L u_i - theta_i u_i|| / theta_i`` per pair, given ``L u_i``."""
+        norms = np.linalg.norm(lap_vectors - vectors * values[None, :], axis=0)
         return norms / np.maximum(values, 1e-14 * scale)
-
-    def _cold_solve(
-        self, graph: WeightedGraph, k_work: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        # The engine targets embedding-grade accuracy (warm_tol), so its cold
-        # solves request a finite ARPACK tolerance instead of the stateless
-        # path's machine-precision default — several Lanczos restarts cheaper
-        # at identical embedding quality.
-        return laplacian_eigenpairs(
-            graph,
-            k_work,
-            method=self.method,
-            drop_trivial=True,
-            tol=self.cold_tol,
-            seed=self.seed,
-        )
 
     def _warm_solve(
         self,
@@ -437,20 +318,23 @@ class EmbeddingEngine:
     ) -> tuple[np.ndarray, np.ndarray, str] | None:
         """Try the warm ladder (Rayleigh-Ritz check, then block-Krylov tower)."""
         try:
-            absorbed_batch = self._inverse.update(graph)
+            changed = self._factorize(graph)
         except _NUMERICAL_FAILURES:
             return None
 
-        vectors = _mean_free(self._vectors)
-        if not absorbed_batch:
-            # Nothing changed (or a refactorisation absorbed the batch): the
-            # stored eigenpairs may pass the strict residual test as-is.
-            values = self._values
-            residuals = self._relative_residuals(lap, values, vectors, scale, k)
+        # Column-major blocks keep every per-column pass of the tower (the
+        # solver's mean projections, the norms, the QR) on contiguous memory.
+        vectors = _mean_free(np.asfortranarray(self._vectors))
+        if not changed:
+            # Nothing changed: the stored eigenpairs may pass the strict
+            # residual test as-is.
+            residuals = self._relative_residuals(
+                lap @ vectors[:, :k], vectors[:, :k], self._values[:k], scale
+            )
             if np.all(np.isfinite(residuals)) and bool(
                 (residuals <= self.warm_tol).all()
             ):
-                return values, vectors, "warm-rr"
+                return self._values, vectors, "warm-rr"
 
         # Grow one inverse-iteration Krylov tower [V, L^-1 V_k, L^-2 V_k, ...]
         # and Rayleigh-Ritz over it.  The depth a refresh needs is strongly
@@ -472,7 +356,7 @@ class EmbeddingEngine:
         while True:
             try:
                 while depth < target:
-                    current = self._inverse.solve(current, project_input=False)
+                    current = self._solver.solve(current)
                     # Per-column renormalisation: the inverse-iteration
                     # recurrence grows columns by ~1/lambda_2 per level, and
                     # the span is scaling-invariant.
@@ -482,9 +366,16 @@ class EmbeddingEngine:
                     depth += 1
             except _NUMERICAL_FAILURES:
                 return None
+            # The tower's columns span norms over many orders of magnitude
+            # before the QR, so their rounding-level constant component is
+            # removed first; left in, it surfaces as spurious Ritz values
+            # below lambda_2.
             subspace = _mean_free(np.hstack(blocks))
-            q, _ = np.linalg.qr(subspace)
-            projected = q.T @ (lap @ q)
+            q, _ = scipy.linalg.qr(
+                subspace, mode="economic", overwrite_a=True, check_finite=False
+            )
+            lap_q = lap @ q
+            projected = q.T @ lap_q
             projected = 0.5 * (projected + projected.T)
             inner = subspace.shape[1] - k
             inner_values = np.linalg.eigvalsh(projected[:inner, :inner])[:k]
@@ -495,7 +386,10 @@ class EmbeddingEngine:
 
             drift = np.abs(inner_values - values[:k]) / np.maximum(values[:k], 1e-300)
             candidate = q @ small_vectors[:, :k_work]
-            residuals = self._relative_residuals(lap, values, candidate, scale, k)
+            # L (q s) = (L q) s: the residuals reuse the projection's product.
+            residuals = self._relative_residuals(
+                lap_q @ small_vectors[:, :k], candidate[:, :k], values[:k], scale
+            )
             if not np.all(np.isfinite(residuals)):
                 return None
             by_residual = residuals <= self.warm_tol
@@ -533,8 +427,8 @@ class EmbeddingEngine:
         added_edges:
             Optional ``(m, 2)`` array of the edges added since the previous
             refresh, recorded for bookkeeping.  The warm path does not trust
-            it for correctness: the incremental solver diffs the Laplacians
-            itself, so removals and weight changes are absorbed exactly too.
+            it for correctness: it factorises whatever graph it is given, so
+            removals and weight changes are handled exactly too.
         timings:
             Optional :class:`~repro.core.instrumentation.StageTimings`.  A
             warm refresh is recorded as an ``embedding_warm`` stage; cold
@@ -561,7 +455,7 @@ class EmbeddingEngine:
             and self._vectors is not None
             and self._n_nodes == n
             and self._vectors.shape[1] == k_work
-            and self._inverse is not None
+            and self._solver is not None
             and n >= self.warm_min_nodes
         )
 
@@ -581,25 +475,34 @@ class EmbeddingEngine:
                     self._warm_disabled = True
 
         if values is None:
-            values, vectors = self._cold_solve(graph, k_work)
+            # The cold Lanczos iteration runs on the engine's factor, which
+            # the next warm refresh and Step 5 reuse.  Without one (a graph
+            # the factorisation rejects) the solve below reports the error
+            # itself, or needs none (the dense backend).
+            try:
+                self._factorize(graph)
+                operand = self._solver
+            except _NUMERICAL_FAILURES:
+                operand = graph
+            # The engine targets embedding-grade accuracy (warm_tol), so its
+            # cold solves request a finite ARPACK tolerance instead of the
+            # stateless path's machine-precision default — several Lanczos
+            # restarts cheaper at identical embedding quality.
+            values, vectors = laplacian_eigenpairs(
+                operand,
+                k_work,
+                method=self.method,
+                drop_trivial=True,
+                tol=self.cold_tol,
+                seed=self.seed,
+            )
             self.stats.cold_solves += 1
             if mode == "fallback":
                 self.stats.fallbacks += 1
-            if n >= self.warm_min_nodes and not self._warm_disabled and self.warm_tol > 0:
-                self._sync_factorizations()  # count the discarded inverse's work
-                try:
-                    self._inverse = _IncrementalLaplacianInverse(
-                        graph, max_corrections=self.max_corrections
-                    )
-                except _NUMERICAL_FAILURES:
-                    self._inverse = None
-                self._inverse_factorizations_seen = 0
         elif mode == "warm-rr":
             self.stats.warm_rayleigh_ritz += 1
         else:
             self.stats.warm_inverse += 1
-
-        self._sync_factorizations()
 
         self.last_mode = mode
         self._values = values

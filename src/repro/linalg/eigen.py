@@ -10,6 +10,8 @@ entry point with two backends:
   ``L^+``, applied through the grounded sparse LU of
   :class:`~repro.linalg.LaplacianSolver`: shift-invert with shift 0 on the
   mean-free subspace, the workhorse for medium/large sparse Laplacians.
+  Pass a :class:`~repro.linalg.LaplacianSolver` instead of the graph to run
+  the iteration on a factor the caller already holds.
 
 The shift-invert backend has no absolute constant in it: the largest
 eigenvalues ``mu = 1 / lambda`` of ``L^+`` are well separated exactly where
@@ -18,9 +20,9 @@ scaling ``L`` by any ``c > 0`` scales the eigenvalues by ``c`` and leaves
 the eigenvectors and the iteration count alone.
 
 The incremental engine in :mod:`repro.embedding.engine` keeps eigenpair
-state across the SGL densification loop with its own Woodbury-corrected
-inverse-iteration ladder, and falls back to this entry point for cold
-solves.
+state across the SGL densification loop with its own inverse-iteration
+ladder on one factor per refresh, and falls back to this entry point for
+cold solves, handing it that factor.
 
 The trivial eigenpair (eigenvalue 0, constant eigenvector) is dropped by
 default, matching the paper's use of ``u_2 ... u_r``.
@@ -88,6 +90,7 @@ def _shift_invert_eigenpairs(
     k: int,
     tol: float,
     seed: int | None,
+    solver: LaplacianSolver | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The ``k`` smallest eigenpairs, the exact trivial pair first.
 
@@ -95,7 +98,8 @@ def _shift_invert_eigenpairs(
     matvec is one solve with the grounded LU.  ``L^+`` maps into the
     mean-free subspace, so a mean-free start vector keeps every Krylov
     vector orthogonal to the constant one and the trivial pair never enters
-    the iteration; it is prepended exactly.
+    the iteration; it is prepended exactly.  ``solver`` is a factor of
+    ``lap`` to reuse, or None to build one.
     """
     n = lap.shape[0]
     values = np.zeros(k)
@@ -106,7 +110,8 @@ def _shift_invert_eigenpairs(
     vectors[:, 0] = 1.0 / np.sqrt(n)
     if k == 1:
         return values, vectors
-    solver = LaplacianSolver(lap)
+    if solver is None:
+        solver = LaplacianSolver(lap)
     pseudo_inverse = spla.LinearOperator((n, n), matvec=solver.solve, dtype=np.float64)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
@@ -119,7 +124,7 @@ def _shift_invert_eigenpairs(
 
 
 def laplacian_eigenpairs(
-    graph_or_laplacian: WeightedGraph | sp.spmatrix | np.ndarray,
+    graph_or_laplacian: WeightedGraph | LaplacianSolver | sp.spmatrix | np.ndarray,
     k: int,
     *,
     method: Literal["auto", "dense", "shift-invert"] = "auto",
@@ -134,7 +139,9 @@ def laplacian_eigenpairs(
     graph_or_laplacian:
         Graph or sparse/dense Laplacian of a connected graph; the
         shift-invert backend raises :class:`ValueError` for a disconnected
-        one.
+        one.  A :class:`~repro.linalg.LaplacianSolver` stands for its
+        Laplacian, and the shift-invert backend iterates on its factor
+        instead of factorising again.
     k:
         Number of *nontrivial* eigenpairs requested when ``drop_trivial`` is
         True (the default); otherwise the total number of smallest eigenpairs.
@@ -170,7 +177,8 @@ def laplacian_eigenpairs(
     >>> vectors.shape
     (3, 2)
     """
-    lap = _as_laplacian(graph_or_laplacian).tocsr()
+    solver = graph_or_laplacian if isinstance(graph_or_laplacian, LaplacianSolver) else None
+    lap = solver.laplacian if solver is not None else _as_laplacian(graph_or_laplacian).tocsr()
     n = lap.shape[0]
     if n < 2:
         raise ValueError("need at least two nodes for nontrivial eigenpairs")
@@ -186,7 +194,7 @@ def laplacian_eigenpairs(
     if method == "dense":
         values, vectors = _dense_eigenpairs(lap, n_wanted)
     elif method == "shift-invert":
-        values, vectors = _shift_invert_eigenpairs(lap, n_wanted, tol, seed)
+        values, vectors = _shift_invert_eigenpairs(lap, n_wanted, tol, seed, solver)
     else:
         raise ValueError(f"unknown method {method!r}")
 

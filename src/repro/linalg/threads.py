@@ -1,8 +1,8 @@
 """Scoped single-threaded OpenBLAS for the learner's small dense kernels.
 
 The warm Step-2 refresh calls BLAS/LAPACK on tall-skinny ``N x ~30`` blocks
-(the QR of the Krylov tower, the ``Z @ correction`` GEMM of the Woodbury
-solve) and on small dense systems (the capacitance LU).  At those sizes
+(the QR of the Krylov tower and its projection ``Q^T (L Q)``) and on small
+dense eigenproblems.  At those sizes
 waking a second OpenBLAS thread costs more than it saves: a 10k-node fit
 runs about twice as fast on one thread and learns the same graph.
 :func:`single_threaded_blas` drops every loaded OpenBLAS copy to one thread

@@ -436,7 +436,7 @@ class OnlineSGLearner:
         if config.edge_scaling and self._currents is not None:
             with timings.stage("edge_scaling"):
                 self._scaled_graph, self._scaling_factor = spectral_edge_scaling(
-                    state.graph, self._voltages, self._currents
+                    state.graph, self._voltages, self._currents, solver=state.solver()
                 )
         else:
             self._scaled_graph = state.graph

@@ -214,6 +214,33 @@ def test_densify_passes_each_iteration_the_pools_data_term(monkeypatch):
     assert all(calls)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_state_add_matches_add_edges(seed):
+    """The sorted insert of ``DensifyState.add`` builds what ``add_edges`` does."""
+    rng = np.random.default_rng(seed)
+    tree = INPUTS[("grid", "fem", "circuit")[seed % 3]]()
+    candidates = tree.add_edges(
+        rng.integers(0, tree.n_nodes, size=(300, 2)), rng.random(300) + 0.5
+    )
+    state = sgl.DensifyState.from_candidates(tree, candidates, engine=None)
+    n_pool = state.pool_edges.shape[0]
+    for size in (0, 1, n_pool // 3, n_pool // 3):
+        graph, pool_edges, pool_weights = state.graph, state.pool_edges, state.pool_weights
+        chosen = rng.permutation(pool_edges.shape[0])[:size]
+        keep = state.add(chosen)
+        want = graph.add_edges(pool_edges[chosen], pool_weights[chosen])
+        for got_array, want_array in (
+            (state.graph.rows, want.rows),
+            (state.graph.cols, want.cols),
+            (state.graph.weights, want.weights),
+        ):
+            assert got_array.dtype == want_array.dtype
+            np.testing.assert_array_equal(got_array, want_array)
+        assert np.array_equal(state.pool_edges, pool_edges[keep])
+        assert state.graph.has_edges(pool_edges[chosen]).all()
+    assert state.graph.n_edges == candidates.n_edges - state.pool_edges.shape[0]
+
+
 # ----------------------------------------------------------------------
 # Hutchinson sensitivity estimator
 # ----------------------------------------------------------------------

@@ -11,10 +11,14 @@ import pytest
 
 from repro import SGLearner, simulate_measurements
 from repro.core.config import SGLConfig
-from repro.embedding.engine import EmbeddingEngine, _IncrementalLaplacianInverse
+from repro.core.scaling import edge_scaling_factor
+from repro.embedding.engine import EmbeddingEngine
 from repro.embedding.spectral import spectral_embedding_matrix
 from repro.graphs.generators import grid_2d
+from repro.graphs.graph import WeightedGraph
 from repro.linalg.solvers import LaplacianSolver
+from repro.measurements import MeasurementSet
+from repro.stream import OnlineSGLearner
 from stateless_reference import engine_under_test
 
 
@@ -100,12 +104,13 @@ def test_fallback_on_warm_failure(monkeypatch):
     engine = EmbeddingEngine(r=4, warm_min_nodes=16)
     engine.refresh(graph)
 
-    # Sabotage the warm ladder: every incremental solve raises, so the engine
-    # must fall back to a cold solve and still return a correct embedding.
+    # Sabotage the warm ladder: every tower solve raises, so the engine must
+    # fall back to a cold solve (dense at this size, no solves) and still
+    # return a correct embedding.
     def boom(self, block, **kwargs):
         raise RuntimeError("injected warm-solver failure")
 
-    monkeypatch.setattr(_IncrementalLaplacianInverse, "solve", boom)
+    monkeypatch.setattr(LaplacianSolver, "solve", boom)
     (edges, weights), = _edge_rounds(graph, 1)
     denser = graph.add_edges(edges, weights)
     refreshed = engine.refresh(denser, added_edges=edges)
@@ -122,7 +127,7 @@ def test_repeated_fallbacks_disable_warm_path(monkeypatch):
     engine.refresh(graph)
 
     monkeypatch.setattr(
-        _IncrementalLaplacianInverse,
+        LaplacianSolver,
         "solve",
         lambda self, block, **kwargs: (_ for _ in ()).throw(RuntimeError("boom")),
     )
@@ -142,31 +147,115 @@ def test_edge_weights_empty_graph_raises_keyerror():
         empty.edge_weights([(0, 1)])
 
 
-def test_woodbury_solver_is_exact_across_updates():
+def test_engine_solver_is_exact_across_updates():
+    """After additions, removals and weight changes the held factor is exact."""
     graph = grid_2d(15, 15)
-    inverse = _IncrementalLaplacianInverse(graph)
+    engine = EmbeddingEngine(r=4, warm_min_nodes=16)
+    engine.refresh(graph)
     rng = np.random.default_rng(3)
-    for edges, weights in _edge_rounds(graph, 4, per_round=6, seed=7):
-        graph = graph.add_edges(edges, weights)
-        inverse.update(graph)
-        rhs = rng.standard_normal((graph.n_nodes, 2))
-        got = inverse.solve(rhs)
-        want = LaplacianSolver(graph).solve(rhs)
-        np.testing.assert_allclose(got, want, atol=1e-9)
-    assert inverse.n_corrections > 0
-
-
-def test_woodbury_refactorizes_past_correction_budget():
-    graph = grid_2d(15, 15)
-    inverse = _IncrementalLaplacianInverse(graph, max_corrections=10)
-    for edges, weights in _edge_rounds(graph, 3, per_round=6, seed=11):
-        graph = graph.add_edges(edges, weights)
-        inverse.update(graph)
-    assert inverse.n_factorizations >= 2
-    rhs = np.random.default_rng(5).standard_normal(graph.n_nodes)
-    np.testing.assert_allclose(
-        inverse.solve(rhs).ravel(), LaplacianSolver(graph).solve(rhs), atol=1e-9
+    (added, added_w), = _edge_rounds(graph, 1, per_round=6, seed=7)
+    denser = graph.add_edges(added, added_w)
+    # Drop six grid edges and reweight another six: a connected graph whose
+    # Laplacian differs from the last one in every way an update can.
+    drop = np.zeros(denser.n_edges, dtype=bool)
+    drop[[3, 40, 77, 120, 200, 300]] = True
+    weights = denser.weights.copy()
+    weights[[10, 50, 90, 130, 170, 210]] *= rng.random(6) + 0.5
+    changed = WeightedGraph(
+        denser.n_nodes, denser.rows[~drop], denser.cols[~drop], weights[~drop]
     )
+    assert changed.is_connected()
+    factorizations = engine.stats.factorizations
+    for current in (denser, changed):
+        engine.refresh(current)
+        rhs = rng.standard_normal((current.n_nodes, 2))
+        np.testing.assert_allclose(
+            engine.solver_for(current).solve(rhs),
+            LaplacianSolver(current).solve(rhs),
+            atol=1e-9,
+        )
+    # One factorisation per refresh that saw a new graph, none for a repeat.
+    assert engine.stats.factorizations == factorizations + 2
+    engine.refresh(changed)
+    assert engine.stats.factorizations == factorizations + 2
+    # The factor belongs to the refreshed object only.
+    assert engine.solver_for(changed.copy()) is None
+    assert engine.solver_for(denser) is None
+
+
+@pytest.mark.parametrize("leak", [0.0, 1e-9])
+def test_tower_keeps_mean_free_projection_on_doc_example(monkeypatch, leak):
+    """The docs/api.md refresh (grid_2d(14, 14) plus two edges) is accepted warm.
+
+    The tower's columns span many orders of magnitude, so a constant
+    component the solves leave in them (``leak`` times each column's norm,
+    a stand-in for rounding) must be projected out of the stacked tower
+    before the QR: left in, it surfaces as spurious Ritz values below
+    lambda_2 and this refresh falls back to a cold solve.
+    """
+    graph = grid_2d(14, 14)
+    engine = EmbeddingEngine(r=5, seed=0)
+    engine.refresh(graph)
+    solve = LaplacianSolver.solve
+
+    def leaky_solve(self, rhs):
+        out = solve(self, rhs)
+        return out + leak * np.linalg.norm(out, axis=0)
+
+    monkeypatch.setattr(LaplacianSolver, "solve", leaky_solve)
+    edges = np.array([[0, 37], [5, 130]])
+    denser = graph.add_edges(edges, [1.0, 1.0])
+    warm = engine.refresh(denser, added_edges=edges)
+    assert engine.last_mode == "warm-inverse"
+    assert engine.stats.fallbacks == 0
+    monkeypatch.undo()
+    cold = spectral_embedding_matrix(denser, 5)
+    np.testing.assert_allclose(warm.eigenvalues, cold.eigenvalues, rtol=engine.drift_tol)
+
+
+def _fresh_factor(graph, measurements):
+    return edge_scaling_factor(
+        graph, measurements.voltages, measurements.currents, solver=LaplacianSolver(graph)
+    )
+
+
+@pytest.mark.parametrize("max_iterations", [1, 100])
+def test_step5_factor_matches_a_fresh_solver(max_iterations):
+    """Step 5 gives the bits of a fresh solver, with or without stale edges.
+
+    One iteration stops with ``pending`` edges the engine never factorised,
+    so Step 5 must build its own solver; a converged fit hands Step 5 the
+    engine's factor of the final graph, which is the same factor.
+    """
+    data = simulate_measurements(grid_2d(15, 15), n_measurements=30, seed=0)
+    learner = SGLearner(beta=0.05, max_iterations=max_iterations)
+    result, state = learner._fit(data)
+    assert (state.pending is not None) == (max_iterations == 1)
+    assert (state.solver() is None) == (max_iterations == 1)
+    assert result.scaling_factor == _fresh_factor(result.unscaled_graph, data)
+
+
+def test_step5_after_rollback_ignores_the_stale_factor(monkeypatch):
+    """A failed update leaves the engine a factor of a graph that was undone."""
+    import repro.stream.learner as learner_module
+
+    data = simulate_measurements(grid_2d(15, 15), 50, seed=0)
+    learner = OnlineSGLearner(beta=0.05, max_window=80, max_iterations=1)
+    learner.fit(MeasurementSet(data.voltages[:, :30], data.currents[:, :30]))
+    engine = learner._state.engine
+
+    def failing_scaling(*args, **kwargs):
+        raise RuntimeError("step 5 failed")
+
+    monkeypatch.setattr(learner_module, "spectral_edge_scaling", failing_scaling)
+    with pytest.raises(RuntimeError, match="step 5 failed"):
+        learner.update(MeasurementSet(data.voltages[:, 30:40], data.currents[:, 30:40]))
+    monkeypatch.undo()
+    # The engine factorised the failed pass's graph; the restored one is older.
+    assert engine._solver is not None
+    assert learner._state.solver() is None
+    learner.update(MeasurementSet(data.voltages[:, 40:50], data.currents[:, 40:50]))
+    assert learner._scaling_factor == _fresh_factor(learner._state.graph, learner.window)
 
 
 def test_learner_engines_agree_end_to_end():
