@@ -192,11 +192,6 @@ def save_sharded_result(
     graph = result.graph
     assignment = result.partition.assignment
     cross = assignment[graph.rows] != assignment[graph.cols]
-    method = (
-        "multilevel"
-        if config.embedding_engine == "multilevel"
-        else config.eigensolver
-    )
 
     shard_entries = []
     for part, nodes in enumerate(result.shard_nodes):
@@ -212,9 +207,8 @@ def save_sharded_result(
                 shard_graph,
                 config.r,
                 sigma_sq=config.sigma_sq,
-                method=method,
+                method=config.eigensolver,
                 seed=config.seed,
-                multilevel_coarse_size=config.multilevel_coarse_size,
             ).coordinates
         shard_result = result.shard_results[part]
         path = save_artifact(

@@ -179,9 +179,16 @@ def _config_to_meta(config: SGLConfig) -> dict:
 
 def _config_from_meta(data: dict) -> SGLConfig:
     data = dict(data)
-    # Older artifacts also store fields removed since: the compute backend
-    # and the multilevel engine's second refinement backend and its precision.
-    for key in ("linalg_backend", "refinement_backend", "refine_dtype"):
+    # Older artifacts also store fields removed since: the compute backend,
+    # the engine choice and the removed multilevel engine's knobs.
+    for key in (
+        "linalg_backend",
+        "refinement_backend",
+        "refine_dtype",
+        "embedding_engine",
+        "multilevel_coarse_size",
+        "multilevel_churn_threshold",
+    ):
         data.pop(key, None)
     if data.get("sigma_sq") == "inf":
         data["sigma_sq"] = np.inf

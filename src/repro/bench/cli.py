@@ -102,14 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--engine",
-        choices=("incremental", "multilevel", "sharded"),
+        choices=("incremental", "sharded"),
         default=None,
-        help="override SGLConfig.embedding_engine for every scenario "
-        "(A/B the warm-started incremental engine against the multilevel "
-        "coarsen-solve-refine engine; 'sharded' selects the partition-parallel ShardedSGLearner "
-        "with --parts shards — per-shard embedding engines follow the "
-        "scenario settings, and --jobs workers fit shards concurrently; "
-        "default: scenario settings)",
+        help="learner for every scenario: 'incremental' is the serial SGLearner "
+        "(the default), 'sharded' the partition-parallel ShardedSGLearner "
+        "with --parts shards, whose --jobs workers fit shards concurrently",
     )
     p_run.add_argument(
         "--parts",
@@ -300,9 +297,8 @@ def _cmd_run(args) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    # --engine sharded is a learner selection, not an SGLConfig value: the
-    # scenarios keep their per-shard embedding engines and --jobs moves
-    # from the scenario pool to the shard pool.
+    # --engine sharded is a learner selection, not an SGLConfig value:
+    # --jobs moves from the scenario pool to the shard pool.
     sharded_parts = None
     shard_jobs = 1
     suite_jobs = args.jobs
@@ -313,14 +309,9 @@ def _cmd_run(args) -> int:
         sharded_parts = args.parts
         shard_jobs = args.jobs
         suite_jobs = 1
-    sgl_overrides = {}
-    if args.engine is not None and args.engine != "sharded":
-        sgl_overrides["embedding_engine"] = args.engine
     if args.knn_backend is not None:
-        sgl_overrides["knn_backend"] = args.knn_backend
-    if sgl_overrides:
         specs = [
-            dataclasses.replace(spec, sgl={**spec.sgl, **sgl_overrides})
+            dataclasses.replace(spec, sgl={**spec.sgl, "knn_backend": args.knn_backend})
             for spec in specs
         ]
 

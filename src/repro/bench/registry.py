@@ -293,11 +293,10 @@ def _populate_default_registry() -> None:
         "erdos_renyi",
         "knn_cloud",
     )
-    # Million-node scenarios need a bounded workload: few measurements, the
-    # multilevel engine, a handful of densification rounds.  The per-shard
-    # fits of the sharded engine inherit these too.
+    # Million-node scenarios need a bounded workload: few measurements and a
+    # handful of densification rounds.  The per-shard fits of the sharded
+    # engine inherit these too.
     huge_sgl = {
-        "embedding_engine": "multilevel",
         "r": 6,
         "max_iterations": 4,
         "beta": 2e-3,

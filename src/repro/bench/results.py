@@ -34,10 +34,9 @@ times are not comparable, so a pass or a failure says less.
 
 Records present on only one side are reported as notes, not failures, so
 adding scenarios never breaks the gate; so is engine-provenance drift (a
-changed ``resistance_engine`` / ``embedding_engine`` or a moved
-``engine_fallbacks`` count in a record's ``info`` block).  Few-millisecond
-timings are exempt
-from the time gate (``min_seconds``) — they are dominated by timer noise.
+changed ``resistance_engine`` or a moved ``engine_fallbacks`` count in a
+record's ``info`` block).  Few-millisecond timings are exempt from the
+time gate (``min_seconds``) — they are dominated by timer noise.
 """
 
 from __future__ import annotations
@@ -371,7 +370,7 @@ def compare(
             )
 
         # Per-stage gate: total wall time can hide a stage-level regression
-        # offset by a win elsewhere (e.g. refine 2x slower behind a faster
+        # offset by a win elsewhere (e.g. embedding 2x slower behind a faster
         # sensitivity pass), so every stage shared by both records is gated
         # with the same relative threshold.  Stages present on only one
         # side are a note — pipelines are allowed to add or drop stages.
@@ -424,7 +423,6 @@ def compare(
         for info_key, label in (
             ("resistance_engine", "resistance engine"),
             ("engine_fallbacks", "engine fallbacks"),
-            ("embedding_engine", "embedding engine"),
         ):
             base_val = base.get("info", {}).get(info_key)
             cand_val = cand.get("info", {}).get(info_key)

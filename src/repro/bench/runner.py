@@ -412,13 +412,10 @@ def run_scenario(
                 "setup_seconds": setup_seconds,
                 "warmup": warmup,
                 "repeats": repeats,
-                "embedding_engine": result.config.embedding_engine,
                 "knn_backend": result.config.knn_backend,
                 "engine_stats": result.engine_stats,
-                # One number for "how often did the fast path bail": dense
-                # fallbacks (incremental engine) + churn rebuilds (multilevel).
-                "engine_fallbacks": int(engine_stats.get("fallbacks", 0) or 0)
-                + int(engine_stats.get("churn_rebuilds", 0) or 0),
+                # How often the warm path bailed to a cold solve.
+                "engine_fallbacks": int(engine_stats.get("fallbacks", 0) or 0),
                 "profile": profile_file,
                 "trace": (
                     str(trace_paths["trace"]) if trace_paths is not None else None

@@ -43,31 +43,10 @@ class SGLConfig:
     max_iterations:
         Safety cap on densification iterations.
     eigensolver:
-        Backend for *cold* Step-2 solves (the incremental engine's, the
+        Backend for *cold* Step-2 solves (the embedding engine's, the
         sharded stitch's and a saved artifact's embedding): ``"auto"``,
-        ``"dense"`` or ``"shift-invert"``.  The incremental engine's warm
-        refreshes use Rayleigh-Ritz / warm-started inverse iteration.
-    embedding_engine:
-        ``"incremental"`` (default) keeps a warm-started
-        :class:`~repro.embedding.EmbeddingEngine` alive across densification
-        iterations, falling back to full solves automatically whenever warm
-        residuals fail the acceptance test; ``"multilevel"`` runs the
-        coarsen-solve-refine :class:`~repro.embedding.MultilevelEmbeddingEngine`
-        (the paper's near-linear-time path), reusing the coarsening
-        hierarchy across iterations and re-matching only when edge churn
-        exceeds ``multilevel_churn_threshold``.  The incremental engine
-        wins up to about 11k nodes; the multilevel engine wins at paper
-        scale (the 150k-node circuit).
-    multilevel_coarse_size:
-        Coarsest-level size for the ``"multilevel"`` embedding engine (and
-        for the sharded stitch's cold solves under it).  The 400 default
-        balances the dense coarsest solve (sub-0.1 s at this size) against
-        hierarchy depth; small meshes measurably prefer a relatively large
-        coarsest level, and at paper scale the dense solve stays negligible.
-    multilevel_churn_threshold:
-        Fractional fine-edge-count drift above which the ``"multilevel"``
-        engine re-runs heavy-edge matching instead of reusing the stored
-        hierarchy.
+        ``"dense"`` or ``"shift-invert"``.  The engine's warm refreshes use
+        Rayleigh-Ritz / warm-started inverse iteration.
     sensitivity_samples:
         ``None`` (default) keeps the paper's exact per-edge sensitivity
         pass (Step 3).  A positive int opts into the Hutchinson-style
@@ -98,8 +77,6 @@ class SGLConfig:
     >>> config = SGLConfig(k=5, beta=0.01)
     >>> config.edges_per_iteration(1000)
     10
-    >>> config.embedding_engine
-    'incremental'
     >>> config.knn_backend
     'auto'
     """
@@ -112,9 +89,6 @@ class SGLConfig:
     sigma_sq: float = np.inf
     max_iterations: int = 500
     eigensolver: str = "auto"
-    embedding_engine: str = "incremental"
-    multilevel_coarse_size: int = 400
-    multilevel_churn_threshold: float = 0.1
     sensitivity_samples: int | None = None
     edge_scaling: bool = True
     initial_graph: str = "mst"
@@ -141,10 +115,6 @@ class SGLConfig:
             raise ValueError("initial_graph must be 'mst', 'knn' or 'random-tree'")
         if self.eigensolver not in {"auto", "dense", "shift-invert"}:
             raise ValueError(f"unknown eigensolver {self.eigensolver!r}")
-        if self.embedding_engine not in {"incremental", "multilevel"}:
-            raise ValueError("embedding_engine must be 'incremental' or 'multilevel'")
-        if self.multilevel_churn_threshold < 0:
-            raise ValueError("multilevel_churn_threshold must be non-negative")
         if self.sensitivity_samples is not None and self.sensitivity_samples < 1:
             raise ValueError("sensitivity_samples must be None or at least 1")
         if self.objective_eigenvalues < 1:

@@ -5,10 +5,9 @@ pipeline stages: kNN construction, spanning-tree extraction, spectral
 embedding, edge sensitivity ranking and edge scaling.  :class:`StageTimings`
 is the instrument the learner (and the benchmark harness in
 :mod:`repro.bench`) threads through that pipeline: a tiny accumulator of
-wall-clock seconds and call counts per named stage.  The embedding stage is
-engine-dependent: the incremental engine splits ``embedding`` /
-``embedding_warm``, the multilevel engine splits ``coarsen`` / ``refine``, and
-the sharded stitch's cold solves record ``embedding``.
+wall-clock seconds and call counts per named stage.  The embedding engine
+splits Step 2 into ``embedding`` (cold solves) and ``embedding_warm`` (warm
+refreshes), and the sharded stitch's cold solves record ``embedding``.
 
 Since the :mod:`repro.obs` layer landed, :class:`StageTimings` is also the
 bridge into tracing: every :meth:`StageTimings.stage` entry additionally
@@ -49,8 +48,6 @@ STAGE_NAMES: tuple[str, ...] = (
     "stitch",
     "embedding",
     "embedding_warm",
-    "coarsen",
-    "refine",
     "sensitivity",
     "objective",
     "edge_selection",

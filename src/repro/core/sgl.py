@@ -11,12 +11,11 @@ Given voltage measurements ``X`` (and optionally the current excitations
 3. once no influential edges remain, rescales all edge weights so the learned
    graph's voltage response energies match the measured ones (Step 5).
 
-Step 2 is the loop's hot spot.  By default it runs through the warm-started
-incremental :class:`~repro.embedding.EmbeddingEngine`, which reuses the
-previous iteration's eigenvectors instead of re-solving the eigenproblem from
-scratch.  ``SGLConfig.embedding_engine = "multilevel"`` switches to the
-coarsen-solve-refine :class:`~repro.embedding.MultilevelEmbeddingEngine`
-(the paper's near-linear-time path, fastest at paper scale).
+Step 2 is the loop's hot spot.  It runs through the warm-started
+:class:`~repro.embedding.EmbeddingEngine`, which reuses the previous
+iteration's eigenvectors instead of re-solving the eigenproblem from scratch,
+and solves cold by Lanczos on the Laplacian pseudo-inverse when a warm
+refresh is not accepted.
 
 Steps 2-4 are written once, as :func:`densify` over a :class:`DensifyState`;
 the online learner's incremental pass and the sharded stitch run the same
@@ -42,7 +41,6 @@ from repro.core.objective import graphical_lasso_objective
 from repro.core.scaling import spectral_edge_scaling
 from repro.core.sensitivity import data_distances_squared, edge_sensitivities
 from repro.embedding.engine import EmbeddingEngine
-from repro.embedding.multilevel_engine import MultilevelEmbeddingEngine
 from repro.embedding.spectral import SpectralEmbedding, StatelessEmbeddingEngine
 from repro.graphs.graph import WeightedGraph
 from repro.knn.knn_graph import knn_graph
@@ -85,17 +83,13 @@ class SGLResult:
     timings:
         Per-stage wall-clock counters recorded during :meth:`SGLearner.fit`
         (stages ``knn``, ``initial_tree``, ``candidate_pool``, ``embedding``,
-        ``embedding_warm``, ``coarsen``, ``refine``, ``sensitivity``,
-        ``objective``, ``edge_selection``, ``edge_scaling``).  ``embedding``
-        counts cold / fallback eigensolves and ``embedding_warm``
-        warm-started refreshes (incremental engine); ``coarsen`` /
-        ``refine`` split the multilevel engine's hierarchy maintenance and
-        coarse-solve-prolongate-refine phases.
+        ``embedding_warm``, ``sensitivity``, ``objective``,
+        ``edge_selection``, ``edge_scaling``).  ``embedding`` counts cold /
+        fallback eigensolves and ``embedding_warm`` warm-started refreshes.
     engine_stats:
-        Refresh-outcome counters of the stateful embedding engine
-        (:meth:`repro.embedding.EngineStats.as_dict` or
-        :meth:`repro.embedding.MultilevelEngineStats.as_dict`), or ``None``
-        for an engine that keeps none
+        Refresh-outcome counters of the embedding engine
+        (:meth:`repro.embedding.EngineStats.as_dict`), or ``None`` for an
+        engine that keeps none
         (:class:`~repro.embedding.StatelessEmbeddingEngine`).
 
     Examples
@@ -132,19 +126,11 @@ class SGLResult:
         return self.graph.density
 
 
-def make_engine(config: SGLConfig) -> EmbeddingEngine | MultilevelEmbeddingEngine:
-    """The Step-2 engine ``config.embedding_engine`` names, built from ``config``.
+def make_engine(config: SGLConfig) -> EmbeddingEngine:
+    """The Step-2 engine, built from ``config``.
 
     The batch fit and the online learner both build their engine here.
     """
-    if config.embedding_engine == "multilevel":
-        return MultilevelEmbeddingEngine(
-            config.r,
-            sigma_sq=config.sigma_sq,
-            coarse_size=config.multilevel_coarse_size,
-            churn_threshold=config.multilevel_churn_threshold,
-            seed=config.seed,
-        )
     return EmbeddingEngine(
         config.r, sigma_sq=config.sigma_sq, method=config.eigensolver, seed=config.seed
     )
@@ -173,7 +159,7 @@ class DensifyState:
     graph: WeightedGraph
     pool_edges: np.ndarray
     pool_weights: np.ndarray
-    engine: EmbeddingEngine | MultilevelEmbeddingEngine | StatelessEmbeddingEngine
+    engine: EmbeddingEngine | StatelessEmbeddingEngine
     embedding: SpectralEmbedding | None = None
     pending: np.ndarray | None = None
 
@@ -469,7 +455,6 @@ class SGLearner:
             "sgl.fit",
             n_nodes=n_nodes,
             n_measurements=n_measurements,
-            embedding_engine=config.embedding_engine,
             knn_backend=config.knn_backend,
         ):
             with single_threaded_blas():

@@ -1,19 +1,15 @@
 """Spectral graph embedding, drawing and clustering.
 
 Step 2 of SGL embeds graph nodes with the first ``r - 1`` nontrivial Laplacian
-eigenvectors scaled by ``1 / sqrt(lambda_i + 1/sigma^2)`` (Eq. 12).  Three entry
+eigenvectors scaled by ``1 / sqrt(lambda_i + 1/sigma^2)`` (Eq. 12).  Two entry
 points compute that embedding:
 
 * :func:`spectral_embedding_matrix` -- stateless, solves the eigenproblem
   from scratch on every call (:class:`StatelessEmbeddingEngine` wraps it in
-  the engines' ``refresh`` interface for the sharded stitch);
+  the engine's ``refresh`` interface for the sharded stitch);
 * :class:`EmbeddingEngine` -- stateful and warm-started, reusing the previous
   call's eigenvectors to refresh the embedding of an incrementally densified
-  graph in a few iterations (the default inside the SGL learner's loop);
-* :class:`MultilevelEmbeddingEngine` -- stateful coarsen-solve-refine path
-  that reuses the coarsening hierarchy across densification iterations (the
-  near-linear-time multilevel machinery of the paper, engine mode
-  ``"multilevel"``, the faster one at paper scale).
+  graph in a few iterations (the SGL learner's only Step-2 engine).
 
 The same eigenvectors also drive the paper's visualisation methodology:
 spectral graph drawing (u2/u3 as 2-D node coordinates, Koren [6]) and spectral
@@ -27,10 +23,6 @@ from repro.embedding.spectral import (
     spectral_embedding_matrix,
 )
 from repro.embedding.engine import EmbeddingEngine, EngineStats
-from repro.embedding.multilevel_engine import (
-    MultilevelEmbeddingEngine,
-    MultilevelEngineStats,
-)
 from repro.embedding.drawing import spectral_layout
 from repro.embedding.kmeans import KMeansResult, kmeans
 from repro.embedding.clustering import spectral_clustering
@@ -39,8 +31,6 @@ __all__ = [
     "SpectralEmbedding",
     "EmbeddingEngine",
     "EngineStats",
-    "MultilevelEmbeddingEngine",
-    "MultilevelEngineStats",
     "StatelessEmbeddingEngine",
     "embedding_from_eigenpairs",
     "spectral_embedding_matrix",

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.graphs.graph import WeightedGraph
 from repro.linalg.eigen import laplacian_eigenpairs
-from repro.linalg.multilevel import MultilevelEigensolver
 
 __all__ = [
     "SpectralEmbedding",
@@ -129,9 +128,8 @@ def spectral_embedding_matrix(
     r: int = 5,
     *,
     sigma_sq: float = np.inf,
-    method: Literal["auto", "dense", "shift-invert", "multilevel"] = "auto",
+    method: Literal["auto", "dense", "shift-invert"] = "auto",
     seed: int | None = 0,
-    multilevel_coarse_size: int = 200,
 ) -> SpectralEmbedding:
     """Compute the spectral embedding ``U_r`` of Eq. (12).
 
@@ -147,8 +145,7 @@ def spectral_embedding_matrix(
         Prior feature variance; ``inf`` (default) scales by ``1/sqrt(lambda)``
         so squared distances converge to effective resistances.
     method:
-        Eigensolver backend.  ``"multilevel"`` uses the coarsen-solve-refine
-        solver (near-linear time); the others are forwarded to
+        Eigensolver backend, forwarded to
         :func:`repro.linalg.laplacian_eigenpairs`.
 
     Examples
@@ -162,15 +159,7 @@ def spectral_embedding_matrix(
     if r < 2:
         raise ValueError("r must be at least 2 (at least one nontrivial eigenvector)")
     k = min(r - 1, graph.n_nodes - 1)
-    if method == "multilevel":
-        result = MultilevelEigensolver(coarse_size=multilevel_coarse_size, seed=seed).solve(
-            graph, k
-        )
-        values, vectors = result.eigenvalues, result.eigenvectors
-    else:
-        values, vectors = laplacian_eigenpairs(
-            graph, k, method=method, drop_trivial=True, seed=seed
-        )
+    values, vectors = laplacian_eigenpairs(graph, k, method=method, drop_trivial=True, seed=seed)
     return embedding_from_eigenpairs(values, vectors, sigma_sq)
 
 

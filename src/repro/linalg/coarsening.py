@@ -1,32 +1,22 @@
 """Graph coarsening by heavy-edge matching.
 
-The paper achieves near-linear-time spectral embedding by relying on
-multilevel eigensolvers [16], which coarsen the graph, solve a small dense
-eigenproblem and interpolate back.  This module provides the coarsening
-substrate: a greedy heavy-edge matching (the classic multigrid/METIS
-aggregation rule -- each node is merged with its heaviest unmatched
-neighbour), the induced piecewise-constant prolongation operator and the
-Galerkin coarse Laplacian ``L_c = P^T L P``.
+A greedy heavy-edge matching (the classic multigrid/METIS aggregation rule
+-- each node is merged with its heaviest unmatched neighbour), the induced
+piecewise-constant prolongation operator and the Galerkin coarse Laplacian
+``L_c = P^T L P``.  :class:`~repro.partition.GraphPartitioner` coarsens a
+graph level by level with :func:`coarsen_graph` and partitions the coarsest
+one.
 
 Because ``P`` is a partition-indicator matrix, the Galerkin product is
 *weight-preserving*: the coarse graph is exactly the contraction of the fine
 graph (parallel inter-aggregate edges have their conductances summed,
 intra-aggregate edges disappear into the contracted node), and
 ``L_coarse = P^T L_fine P`` holds identically -- no mass is invented.
-
-:class:`CoarseningHierarchy` stacks levels into a reusable object: the
-matchings (the expensive, sequential part) are computed once, while the
-coarse graphs can be cheaply re-projected from an updated fine graph via
-:meth:`CoarseningHierarchy.reproject` -- the substrate for hierarchy reuse
-across the SGL densification loop, which only changes a fraction of the
-edges per iteration.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,17 +25,15 @@ from repro.graphs.graph import WeightedGraph
 
 __all__ = [
     "CoarseLevel",
-    "CoarseningHierarchy",
     "contract_graph",
     "heavy_edge_matching",
     "coarsen_graph",
-    "coarsening_hierarchy",
 ]
 
 
 @dataclass(frozen=True)
 class CoarseLevel:
-    """One level of a coarsening hierarchy.
+    """One coarsening level: the contracted graph and its aggregate map.
 
     Attributes
     ----------
@@ -172,177 +160,3 @@ def coarsen_graph(graph: WeightedGraph, *, seed: int | None = 0) -> CoarseLevel:
     prolongation = _prolongation_from_aggregates(aggregates, n_coarse)
     coarse = contract_graph(graph, aggregates, n_coarse)
     return CoarseLevel(graph=coarse, aggregates=aggregates, prolongation=prolongation)
-
-
-class CoarseningHierarchy(Sequence):
-    """A reusable stack of :class:`CoarseLevel` objects, finest to coarsest.
-
-    Behaves like the plain list of levels it used to be (``len``, indexing,
-    iteration, truthiness), plus hierarchy-level services:
-
-    * :meth:`reproject` rebuilds every coarse graph from an *updated* fine
-      graph through the **stored** matchings -- one vectorised contraction
-      per level, no new heavy-edge matching.  This is what makes the
-      hierarchy reusable across SGL densification iterations: the matching
-      (sequential, the dominant build cost) is amortised while the Galerkin
-      coarse Laplacians stay exact for the current graph.
-    * :meth:`edge_churn` measures how much the fine edge set grew since the
-      matchings were computed, so callers can re-coarsen only when the stale
-      matching would start to hurt aggregate quality.
-
-    Examples
-    --------
-    >>> from repro.graphs.generators import grid_2d
-    >>> from repro.linalg import coarsening_hierarchy
-    >>> hierarchy = coarsening_hierarchy(grid_2d(16, 16), target_size=32)
-    >>> hierarchy.fine_n_nodes, hierarchy.coarsest.n_nodes <= 32
-    (256, True)
-    >>> denser = grid_2d(16, 16).add_edges([(0, 255)], [2.0])
-    >>> refreshed = hierarchy.reproject(denser)
-    >>> bool(refreshed.edge_churn(denser) > 0), refreshed.n_levels == hierarchy.n_levels
-    (True, True)
-    """
-
-    def __init__(
-        self,
-        fine_graph: WeightedGraph,
-        levels: Sequence[CoarseLevel],
-        *,
-        baseline_n_edges: int | None = None,
-    ) -> None:
-        self._levels = list(levels)
-        self._fine_n_nodes = fine_graph.n_nodes
-        # Edge count the *matchings* were computed for.  reproject() carries
-        # it over unchanged, so edge_churn keeps measuring drift since the
-        # last matching build — not since the last reprojection (which would
-        # make a small-batch caller's churn threshold unreachable).
-        self._baseline_n_edges = (
-            fine_graph.n_edges if baseline_n_edges is None else int(baseline_n_edges)
-        )
-
-    # -- sequence protocol (backwards compatible with the old list return) --
-    def __len__(self) -> int:
-        return len(self._levels)
-
-    def __getitem__(self, index):
-        return self._levels[index]
-
-    def __iter__(self) -> Iterator[CoarseLevel]:
-        return iter(self._levels)
-
-    # -- introspection ------------------------------------------------------
-    @property
-    def n_levels(self) -> int:
-        """Number of coarse levels (0 when the fine graph was small enough)."""
-        return len(self._levels)
-
-    @property
-    def fine_n_nodes(self) -> int:
-        """Node count of the fine graph the hierarchy was built for."""
-        return self._fine_n_nodes
-
-    @property
-    def fine_n_edges(self) -> int:
-        """Fine edge count the matchings were built for (reproject keeps it)."""
-        return self._baseline_n_edges
-
-    @property
-    def level_sizes(self) -> tuple[int, ...]:
-        """Node counts from finest to coarsest (fine graph included)."""
-        return (self._fine_n_nodes,) + tuple(level.graph.n_nodes for level in self._levels)
-
-    @property
-    def coarsest(self) -> WeightedGraph:
-        """The coarsest graph (raises on an empty hierarchy)."""
-        if not self._levels:
-            raise ValueError("hierarchy has no coarse levels")
-        return self._levels[-1].graph
-
-    # -- reuse services -----------------------------------------------------
-    def edge_churn(self, graph: WeightedGraph) -> float:
-        """Relative fine-edge-count change since the matchings were built.
-
-        Reprojection does *not* reset the baseline — churn accumulates over
-        many small batches until the caller decides to re-match.  The SGL
-        loop only ever adds edges, so edge-count growth is a faithful churn
-        measure; the absolute value guards callers that also remove.
-        """
-        if graph.n_nodes != self._fine_n_nodes:
-            raise ValueError("graph does not match the hierarchy's node set")
-        baseline = max(self._baseline_n_edges, 1)
-        return abs(graph.n_edges - self._baseline_n_edges) / baseline
-
-    def reproject(self, graph: WeightedGraph) -> "CoarseningHierarchy":
-        """Galerkin-project an updated fine graph through the stored matchings.
-
-        Returns a new hierarchy whose coarse graphs are the exact
-        contractions of ``graph`` (level by level), while the aggregate maps
-        and prolongation operators are shared with ``self``.  Cost is one
-        vectorised edge contraction per level -- orders of magnitude cheaper
-        than re-running heavy-edge matching.
-        """
-        if graph.n_nodes != self._fine_n_nodes:
-            raise ValueError("graph does not match the hierarchy's node set")
-        current = graph
-        levels: list[CoarseLevel] = []
-        for level in self._levels:
-            coarse = contract_graph(
-                current, level.aggregates, level.prolongation.shape[1]
-            )
-            levels.append(
-                CoarseLevel(
-                    graph=coarse,
-                    aggregates=level.aggregates,
-                    prolongation=level.prolongation,
-                )
-            )
-            current = coarse
-        return CoarseningHierarchy(
-            graph, levels, baseline_n_edges=self._baseline_n_edges
-        )
-
-
-def coarsening_hierarchy(
-    graph: WeightedGraph,
-    *,
-    target_size: int = 200,
-    max_levels: int = 30,
-    min_coarsening_ratio: float = 0.9,
-    seed: int | None = 0,
-) -> CoarseningHierarchy:
-    """Repeatedly coarsen until the graph has at most ``target_size`` nodes.
-
-    Parameters
-    ----------
-    target_size:
-        Stop once a level has at most this many nodes (the coarsest problem
-        is meant to be solved densely).
-    max_levels:
-        Hard cap on the number of levels.
-    min_coarsening_ratio:
-        Stop early when a level fails to shrink the graph below this
-        fraction of its parent (matching saturates on star-like graphs;
-        piling on non-shrinking levels would only add refinement cost).
-    seed:
-        Seed for the per-level matching order (level ``i`` uses ``seed + i``).
-
-    Returns the :class:`CoarseningHierarchy` from finest to coarsest; an
-    empty hierarchy means the input graph was already small enough.
-    """
-    if target_size < 2:
-        raise ValueError("target_size must be at least 2")
-    if max_levels < 1:
-        raise ValueError("max_levels must be at least 1")
-    if not 0.0 < min_coarsening_ratio <= 1.0:
-        raise ValueError("min_coarsening_ratio must be in (0, 1]")
-    levels: list[CoarseLevel] = []
-    current = graph
-    for level_index in range(max_levels):
-        if current.n_nodes <= target_size:
-            break
-        level = coarsen_graph(current, seed=None if seed is None else seed + level_index)
-        if level.graph.n_nodes >= int(min_coarsening_ratio * current.n_nodes):
-            break
-        levels.append(level)
-        current = level.graph
-    return CoarseningHierarchy(graph, levels)

@@ -39,45 +39,13 @@ import scipy.sparse.linalg as spla
 from repro.graphs.graph import WeightedGraph
 from repro.linalg.solvers import LaplacianSolver
 
-__all__ = ["laplacian_eigenpairs", "rayleigh_ritz"]
+__all__ = ["laplacian_eigenpairs"]
 
 
 def _as_laplacian(graph_or_laplacian: WeightedGraph | sp.spmatrix | np.ndarray) -> sp.csr_matrix:
     if isinstance(graph_or_laplacian, WeightedGraph):
         return graph_or_laplacian.laplacian()
     return sp.csr_matrix(graph_or_laplacian)
-
-
-def rayleigh_ritz(
-    laplacian: sp.spmatrix | np.ndarray,
-    basis: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rayleigh-Ritz extraction of approximate eigenpairs from a subspace.
-
-    Orthonormalises ``basis`` (columns), projects the Laplacian onto it and
-    solves the small dense eigenproblem.  Returns Ritz values (ascending) and
-    Ritz vectors lifted back to the full space.
-
-    Examples
-    --------
-    Feeding exact eigenvectors back in reproduces the eigenvalues (path graph
-    on three nodes, nontrivial spectrum ``{1, 3}``):
-
-    >>> import numpy as np
-    >>> from repro.graphs.graph import WeightedGraph
-    >>> from repro.linalg.eigen import laplacian_eigenpairs, rayleigh_ritz
-    >>> path = WeightedGraph(3, [0, 1], [1, 2])
-    >>> _, vectors = laplacian_eigenpairs(path, 2, method="dense")
-    >>> values, _ = rayleigh_ritz(path.laplacian(), vectors)
-    >>> np.round(values, 6).tolist()
-    [1.0, 3.0]
-    """
-    lap = _as_laplacian(laplacian)
-    q, _ = np.linalg.qr(np.asarray(basis, dtype=np.float64))
-    small = q.T @ (lap @ q)
-    small = 0.5 * (small + small.T)
-    values, vectors = np.linalg.eigh(small)
-    return values, q @ vectors
 
 
 def _dense_eigenpairs(lap: sp.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:

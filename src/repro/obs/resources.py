@@ -7,7 +7,7 @@ counts per generation, and the live thread count — and keeps a bounded list
 of timestamped samples plus a JSON-ready :meth:`~ResourceSampler.summary`.
 
 It is deliberately *not* a profiler: the point is to catch the shape of a
-run (does RSS ramp during the V-cycle? does the GC churn during serving?)
+run (does RSS ramp during the fit? does the GC churn during serving?)
 for a few samples per second of overhead, and to land that context next to
 the trace and metrics artifacts ``repro.bench --trace`` writes.
 

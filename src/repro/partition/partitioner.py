@@ -3,9 +3,8 @@
 Domain decomposition needs vertex partitions that are *balanced* (shards do
 comparable work), *local* (few cut edges, so stitching has little to repair)
 and *cheap to compute at million-node scale*.  Rather than pulling in a
-graph-partitioning dependency, :class:`GraphPartitioner` reuses the
-coarsening substrate the multilevel eigensolver already ships
-(:mod:`repro.linalg.coarsening`):
+graph-partitioning dependency, :class:`GraphPartitioner` builds on the
+heavy-edge-matching coarsening of :mod:`repro.linalg.coarsening`:
 
 1. **Coarsen** the graph by repeated heavy-edge matching until at most
    ``oversample * num_parts`` supernodes remain.  Matching merges strongly

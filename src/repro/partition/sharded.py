@@ -165,8 +165,8 @@ class ShardedSGLearner:
     config:
         A :class:`~repro.core.SGLConfig`, or keyword overrides
         (``ShardedSGLearner(k=5, beta=0.01, num_parts=4)``).  The per-shard
-        fits inherit every field (including ``embedding_engine``) except
-        ``edge_scaling``, which is deferred to the global stitch.
+        fits inherit every field except ``edge_scaling``, which is deferred
+        to the global stitch.
     num_parts:
         Number of shards.  ``1`` reproduces the serial learner bit for bit.
     jobs:
@@ -246,7 +246,6 @@ class ShardedSGLearner:
             n_measurements=voltages.shape[1],
             n_parts=self.num_parts,
             jobs=self.jobs,
-            embedding_engine=self.config.embedding_engine,
         ):
             result = self._fit_body(voltages, currents, timings, checkpoint_dir)
             set_attributes(
@@ -446,17 +445,8 @@ class ShardedSGLearner:
         # is cold for any engine, there are only ``stitch_sweeps`` of them,
         # and a warm engine would keep a factorisation of the whole global
         # Laplacian alive between them, the memory sharding exists to save.
-        method = (
-            "multilevel"
-            if config.embedding_engine == "multilevel"
-            else config.eigensolver
-        )
         engine = StatelessEmbeddingEngine(
-            config.r,
-            sigma_sq=config.sigma_sq,
-            method=method,
-            seed=config.seed,
-            multilevel_coarse_size=config.multilevel_coarse_size,
+            config.r, sigma_sq=config.sigma_sq, method=config.eigensolver, seed=config.seed
         )
         # The pool is every candidate edge the stitched graph still lacks
         # (shards can also learn non-candidate edges — connectivity

@@ -8,10 +8,9 @@ the window and then chooses, per batch, between two paths:
 
 * **incremental** — a bounded number of iterations of the batch learner's
   densification loop (:func:`~repro.core.sgl.densify`) over the *existing*
-  candidate pool, reusing the persistent embedding engine that
-  ``embedding_engine`` names (warm refreshes, no cold eigensolve) and
-  finishing with a Step-5 rescale against the current window.  Cost: a few
-  warm refreshes — a small fraction of a fit.
+  candidate pool, reusing the persistent embedding engine (warm refreshes,
+  no cold eigensolve) and finishing with a Step-5 rescale against the
+  current window.  Cost: a few warm refreshes — a small fraction of a fit.
 * **full refit** — the batch learner re-run on the whole window, rebuilding
   the kNN candidate pool and the embedding engine from scratch; the learner
   then carries on from the fit's loop state (its engine and last
@@ -182,7 +181,6 @@ class OnlineSGLearner:
         self._last_result: SGLResult | None = None
         self._version = None
         self._n_updates = 0
-        self.updates: list[StreamUpdate] = []
 
     # ------------------------------------------------------------------
     @property
@@ -318,7 +316,6 @@ class OnlineSGLearner:
             wall_seconds=time.perf_counter() - start,
         )
         self._n_updates = 1
-        self.updates.append(update)
         return update
 
     def update(self, new_measurements: MeasurementSet) -> StreamUpdate:
@@ -385,7 +382,6 @@ class OnlineSGLearner:
             wall_seconds=time.perf_counter() - start,
         )
         self._n_updates += 1
-        self.updates.append(update)
         return update
 
     # ------------------------------------------------------------------

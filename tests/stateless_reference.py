@@ -1,11 +1,10 @@
 """The stateless Step-2 engine as the tests' reference path.
 
-``SGLConfig.embedding_engine`` names only the engines the learner ships:
-``"incremental"`` and ``"multilevel"``.  The tests still compare both against
-a cold solve on every densification iteration, which is what
+The learner ships one Step-2 engine, the warm-started
+:class:`~repro.embedding.EmbeddingEngine`.  The tests still compare it
+against a cold solve on every densification iteration, which is what
 :class:`~repro.embedding.StatelessEmbeddingEngine` does.  Inside
-:func:`stateless_engine`, every learner built in this process embeds with it,
-whatever engine its config names.
+:func:`stateless_engine`, every learner built in this process embeds with it.
 """
 
 import contextlib
@@ -27,11 +26,7 @@ def stateless_engine():
 
 
 def engine_under_test(name: str):
-    """The ``embedding_engine`` value and the context that run engine ``name``.
-
-    ``"stateless"`` is no config value: it runs as ``"incremental"`` inside
-    :func:`stateless_engine`, which replaces that engine.
-    """
+    """The context that runs engine ``name``: ``"incremental"`` or ``"stateless"``."""
     if name == "stateless":
-        return "incremental", stateless_engine()
-    return name, contextlib.nullcontext()
+        return stateless_engine()
+    return contextlib.nullcontext()

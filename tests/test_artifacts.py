@@ -88,7 +88,7 @@ class TestRoundTrip:
         assert artifact.meta["source"] == "SGLearner.fit"
 
     def test_custom_config_round_trip(self, tmp_path):
-        config = SGLConfig(k=7, r=4, sigma_sq=2.5, embedding_engine="multilevel")
+        config = SGLConfig(k=7, r=4, sigma_sq=2.5, eigensolver="dense")
         graph = grid_2d(4, 4)
         path = save_artifact(graph, config, tmp_path / "m.npz")
         artifact = load_result(path)
@@ -213,10 +213,17 @@ class TestValidation:
             load_result(bad)
 
     def test_stored_compute_backend_field_is_dropped(self, learned, tmp_path):
-        # Artifacts written before the compute-backend seam and the multilevel
-        # engine's second refinement backend were removed carry their keys in
-        # the stored config.
-        dropped = {"linalg_backend": "numpy", "refinement_backend": "lobpcg", "refine_dtype": "float32"}
+        # Artifacts written before the compute-backend seam, the engine
+        # choice and the multilevel engine's knobs were removed carry their
+        # keys in the stored config.
+        dropped = {
+            "linalg_backend": "numpy",
+            "refinement_backend": "lobpcg",
+            "refine_dtype": "float32",
+            "embedding_engine": "multilevel",
+            "multilevel_coarse_size": 64,
+            "multilevel_churn_threshold": 0.25,
+        }
         path = save_result(learned, tmp_path / "m.npz")
         old = self._with_meta(
             path,
@@ -231,7 +238,7 @@ class TestValidation:
 
     def test_removed_config_value_rejected(self, learned, tmp_path):
         path = save_result(learned, tmp_path / "m.npz")
-        removed = {"knn_backend": "nsw", "embedding_engine": "stateless", "eigensolver": "multilevel"}
+        removed = {"knn_backend": "nsw", "eigensolver": "multilevel"}
         for key, value in removed.items():
             bad = self._with_meta(
                 path,

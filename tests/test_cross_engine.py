@@ -1,10 +1,10 @@
-"""Cross-engine golden tests: incremental and multilevel vs the stateless reference.
+"""Cross-engine golden tests: the incremental engine vs the stateless reference.
 
 The stateless reference solves cold on every refresh
 (:class:`~repro.embedding.StatelessEmbeddingEngine`).  Two layers of
 agreement, on small fixtures where exact references are cheap:
 
-* **Eigenpair agreement** — the three engines refresh the same graph and the
+* **Eigenpair agreement** — both engines refresh the same graph and the
   spanned embedding subspaces must agree (principal angles), because the
   SGL sensitivity ranking is a function of that subspace.
 * **End-to-end agreement** — full SGL runs under each engine land on graphs
@@ -18,25 +18,19 @@ import scipy.linalg
 from repro.core.config import SGLConfig
 from repro.core.objective import graphical_lasso_objective
 from repro.core.sgl import SGLearner
-from repro.embedding import (
-    EmbeddingEngine,
-    MultilevelEmbeddingEngine,
-    spectral_embedding_matrix,
-)
+from repro.embedding import EmbeddingEngine, spectral_embedding_matrix
 from repro.graphs.generators import grid_2d, random_geometric_graph
 from repro.measurements import simulate_measurements
 from repro.metrics.resistance import resistance_correlation
 from stateless_reference import engine_under_test
 
-ENGINES = ("stateless", "incremental", "multilevel")
+ENGINES = ("stateless", "incremental")
 
 
 def _engine_embedding(name, graph, r):
     if name == "stateless":
         return spectral_embedding_matrix(graph, r)
-    if name == "incremental":
-        return EmbeddingEngine(r, warm_min_nodes=16).refresh(graph)
-    return MultilevelEmbeddingEngine(r, coarse_size=64).refresh(graph)
+    return EmbeddingEngine(r, warm_min_nodes=16).refresh(graph)
 
 
 @pytest.mark.parametrize("name", ENGINES)
@@ -62,14 +56,10 @@ def test_engines_agree_on_embedding_subspace(name, graph_factory):
 
 @pytest.mark.parametrize("name", ENGINES[1:])
 def test_engines_agree_after_densification_rounds(name):
-    """Warm engines track the stateless subspace across edge additions."""
+    """The warm engine tracks the stateless subspace across edge additions."""
     rng = np.random.default_rng(0)
     graph = grid_2d(16, 16)
-    engine = (
-        EmbeddingEngine(4, warm_min_nodes=16)
-        if name == "incremental"
-        else MultilevelEmbeddingEngine(4, coarse_size=64)
-    )
+    engine = EmbeddingEngine(4, warm_min_nodes=16)
     engine.refresh(graph)
     for _ in range(6):
         existing = graph.edge_set()
@@ -104,10 +94,8 @@ def engine_results(fixture_problem):
     truth, data = fixture_problem
     results = {}
     for name in ENGINES:
-        value, context = engine_under_test(name)
-        config = SGLConfig(beta=0.02, embedding_engine=value, multilevel_coarse_size=64)
-        with context:
-            results[name] = SGLearner(config).fit(data)
+        with engine_under_test(name):
+            results[name] = SGLearner(SGLConfig(beta=0.02)).fit(data)
     return results
 
 
@@ -142,24 +130,3 @@ def test_end_to_end_engine_stats_shapes(engine_results):
     assert incremental["refreshes"] == incremental["cold_solves"] + (
         incremental["warm_rayleigh_ritz"] + incremental["warm_inverse"]
     )
-    multilevel = engine_results["multilevel"].engine_stats
-    assert multilevel["refreshes"] >= 1
-    assert multilevel["hierarchy_builds"] >= 1
-    assert set(multilevel) >= {
-        "refreshes",
-        "hierarchy_builds",
-        "churn_rebuilds",
-        "reprojections",
-        "dense_solves",
-        "n_levels",
-    }
-
-
-def test_multilevel_records_coarsen_and_refine_stages(fixture_problem):
-    truth, data = fixture_problem
-    config = SGLConfig(beta=0.02, embedding_engine="multilevel", multilevel_coarse_size=64)
-    result = SGLearner(config).fit(data)
-    stages = result.timings.stages
-    assert "coarsen" in stages and "refine" in stages
-    assert stages["refine"].calls == result.n_iterations
-    assert "embedding" not in stages  # the multilevel engine owns Step 2

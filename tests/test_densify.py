@@ -3,7 +3,7 @@
 ``repro.core.sgl.densify`` runs the batch fit, the online learner's
 incremental pass and the sharded stitch.  The golden cases pin the learned
 edge sets and weights of all three callers, on a grid, an FEM mesh and a
-circuit, for both embedding engines and for the stateless reference (a cold
+circuit, for the embedding engine and for the stateless reference (a cold
 solve every iteration).  They were recorded before the three loops were
 merged into one; regenerate them only for a change that is meant
 to move the learned graphs:
@@ -24,7 +24,7 @@ from repro.core.config import SGLConfig
 from repro.core.sensitivity import data_distances_squared, edge_sensitivities
 from repro.core.sgl import SGLearner
 from repro.embedding.spectral import SpectralEmbedding, spectral_embedding_matrix
-from repro.embedding import MultilevelEmbeddingEngine
+from repro.embedding import EmbeddingEngine
 from repro.graphs.generators import circuit_grid, fe_mesh, grid_2d
 from repro.measurements import simulate_measurements
 from repro.metrics.resistance import resistance_correlation
@@ -38,16 +38,15 @@ INPUTS = {
     "fem": lambda: fe_mesh(170, seed=0),
     "circuit": lambda: circuit_grid(13, 13, seed=0),
 }
-ENGINES = ("incremental", "multilevel", "stateless")
+ENGINES = ("incremental", "stateless")
 #: The online learner needs a warm-capable engine.
-ONLINE_ENGINES = ("incremental", "multilevel")
+ONLINE_ENGINES = ("incremental",)
 N_UPDATES = 10
 #: The update before which a refit is forced (by flagging degradation).
 REFIT_AT = 5
 
 
-def _config(engine: str) -> SGLConfig:
-    return SGLConfig(beta=0.03, embedding_engine=engine, multilevel_coarse_size=64)
+CONFIG = SGLConfig(beta=0.03)
 
 
 def _as_record(graph) -> dict:
@@ -56,15 +55,14 @@ def _as_record(graph) -> dict:
 
 def run_fit(name: str, engine: str):
     data = simulate_measurements(INPUTS[name](), 40, seed=1)
-    value, context = engine_under_test(engine)
-    with context:
-        return SGLearner(_config(value)).fit(data).graph
+    with engine_under_test(engine):
+        return SGLearner(CONFIG).fit(data).graph
 
 
 def run_online(name: str, engine: str):
     """Ten updates with a refit forced before update ``REFIT_AT``."""
     stream = MeasurementStream(INPUTS[name](), batch_size=12, drift_rate=0.02, seed=2)
-    learner = OnlineSGLearner(_config(engine), max_window=60)
+    learner = OnlineSGLearner(CONFIG, max_window=60)
     learner.fit(stream.next_batch())
     modes = []
     for index in range(N_UPDATES):
@@ -76,9 +74,8 @@ def run_online(name: str, engine: str):
 
 def run_sharded(name: str, engine: str):
     data = simulate_measurements(INPUTS[name](), 40, seed=1)
-    value, context = engine_under_test(engine)
-    with context:
-        return ShardedSGLearner(_config(value), num_parts=4).fit(data)
+    with engine_under_test(engine):
+        return ShardedSGLearner(CONFIG, num_parts=4).fit(data)
 
 
 def record() -> dict:
@@ -132,28 +129,28 @@ def test_online_matches_golden(name, engine):
     _assert_matches(learner.graph, expected)
 
 
-def _stream_learner(engine: str):
+def _stream_learner():
     stream = MeasurementStream(INPUTS["grid"](), batch_size=12, drift_rate=0.02, seed=2)
-    learner = OnlineSGLearner(dataclasses.replace(_config(engine), max_iterations=2), max_window=60)
+    learner = OnlineSGLearner(dataclasses.replace(CONFIG, max_iterations=2), max_window=60)
     learner.fit(stream.next_batch())
     return learner, stream
 
 
 def test_online_updates_refresh_the_configured_engine():
-    learner, stream = _stream_learner("multilevel")
+    learner, stream = _stream_learner()
     engine = learner._state.engine
-    assert isinstance(engine, MultilevelEmbeddingEngine)
+    assert isinstance(engine, EmbeddingEngine)
     before = engine.stats.refreshes
     learner.drift.assess = lambda batch: DriftDecision(False, "stable", 1.0, 0.0, 1.0, 0)
     update = learner.update(stream.next_batch())
     assert update.mode == "incremental" and update.n_edges_added > 0
     assert learner._state.engine is engine
     assert engine.stats.refreshes > before
-    assert update.timings.seconds("refine") > 0.0
+    assert update.timings.seconds("embedding_warm") > 0.0
 
 
 def test_refit_adopts_the_fits_engine_without_a_cold_solve():
-    learner, stream = _stream_learner("incremental")
+    learner, stream = _stream_learner()
     learner.drift.flag_degradation()
     update = learner.update(stream.next_batch())
     assert update.mode == "refit"
@@ -177,7 +174,7 @@ def test_stitch_honours_sensitivity_samples(monkeypatch):
     monkeypatch.setattr(sgl, "edge_sensitivities", recording)
     graph = INPUTS["grid"]()
     data = simulate_measurements(graph, 40, seed=1)
-    config = dataclasses.replace(_config("incremental"), sensitivity_samples=16)
+    config = dataclasses.replace(CONFIG, sensitivity_samples=16)
     result = ShardedSGLearner(config, num_parts=4).fit(data)
     stitch_calls = [samples for n_nodes, samples in calls if n_nodes == graph.n_nodes]
     assert len(stitch_calls) == len(result.stitch_stats["correction_edges"]) > 0
@@ -209,7 +206,7 @@ def test_densify_passes_each_iteration_the_pools_data_term(monkeypatch):
         return original(embedding, voltages, pairs, **kwargs)
 
     monkeypatch.setattr(sgl, "edge_sensitivities", recording)
-    result = SGLearner(_config("incremental")).fit(simulate_measurements(INPUTS["grid"](), 40, seed=1))
+    result = SGLearner(CONFIG).fit(simulate_measurements(INPUTS["grid"](), 40, seed=1))
     assert len(calls) == len(result.history) > 1
     assert all(calls)
 

@@ -117,3 +117,13 @@ def test_wide_weight_spread_does_not_slow_the_cold_solve(monkeypatch):
     values, _ = laplacian_eigenpairs(tree, 5, method="shift-invert", tol=1e-7)
     assert 0 < counting.applications <= 40
     np.testing.assert_allclose(values, dense_values, rtol=1e-6)
+
+
+def test_removed_solver_paths_are_rejected():
+    # LOBPCG cold solves and the CG Laplacian solver are gone.
+    from repro.linalg import LaplacianSolver
+
+    with pytest.raises(ValueError, match="unknown method"):
+        laplacian_eigenpairs(grid_2d(4, 4), 2, method="lobpcg")
+    with pytest.raises(TypeError):
+        LaplacianSolver(grid_2d(4, 4), method="cg")

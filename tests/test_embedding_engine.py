@@ -263,9 +263,8 @@ def test_learner_engines_agree_end_to_end():
     data = simulate_measurements(truth, n_measurements=40, seed=0)
     results = {}
     for engine in ("stateless", "incremental"):
-        value, context = engine_under_test(engine)
-        with context:
-            results[engine] = SGLearner(SGLConfig(beta=0.05, embedding_engine=value)).fit(data)
+        with engine_under_test(engine):
+            results[engine] = SGLearner(SGLConfig(beta=0.05)).fit(data)
     stateless, incremental = results["stateless"], results["incremental"]
     assert incremental.engine_stats is not None
     assert stateless.engine_stats is None

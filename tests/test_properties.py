@@ -3,7 +3,7 @@
 Randomised (hypothesis) checks of the contracts everything else builds on:
 the canonical edge storage of :class:`~repro.graphs.graph.WeightedGraph`,
 the algebraic identities of graph Laplacians, and the weight/connectivity
-preservation of the Galerkin coarsening used by the multilevel engine.
+preservation of the Galerkin coarsening the graph partitioner builds on.
 
 All tests run derandomised (hypothesis replays a fixed example sequence) so
 CI and local runs see identical cases.
@@ -15,12 +15,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs.graph import WeightedGraph
-from repro.linalg.coarsening import (
-    coarsen_graph,
-    coarsening_hierarchy,
-    contract_graph,
-    heavy_edge_matching,
-)
+from repro.linalg.coarsening import coarsen_graph, heavy_edge_matching
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -193,48 +188,6 @@ def test_coarsening_preserves_weight_and_connectivity(graph, seed):
     fine_components, _ = graph.connected_components()
     coarse_components, _ = level.graph.connected_components()
     assert coarse_components == fine_components
-
-
-@SETTINGS
-@given(connected_graphs(min_nodes=12, max_nodes=40), st.integers(2, 6))
-def test_hierarchy_levels_shrink_and_stop(graph, target):
-    hierarchy = coarsening_hierarchy(graph, target_size=max(target, 2))
-    sizes = hierarchy.level_sizes
-    assert sizes[0] == graph.n_nodes
-    assert bool((np.diff(sizes) < 0).all()) if len(sizes) > 1 else True
-    if hierarchy.n_levels:
-        last = hierarchy[-1].graph.n_nodes
-        if last > max(target, 2):
-            # Stopped early: coarsening one more level (with the seed the
-            # builder would have used) fails the shrink-ratio control.
-            next_level = coarsen_graph(hierarchy[-1].graph, seed=hierarchy.n_levels)
-            assert next_level.graph.n_nodes >= int(0.9 * last)
-
-
-@SETTINGS
-@given(connected_graphs(min_nodes=12, max_nodes=40))
-def test_reproject_matches_fresh_galerkin_after_edge_addition(graph):
-    hierarchy = coarsening_hierarchy(graph, target_size=4)
-    if not hierarchy.n_levels:
-        return
-    denser = graph.add_edges([(0, graph.n_nodes - 1)], [2.5])
-    refreshed = hierarchy.reproject(denser)
-    current = denser
-    for level in refreshed:
-        expected = contract_graph(current, level.aggregates, level.prolongation.shape[1])
-        assert level.graph == expected
-        # Galerkin identity holds against the *updated* finer graph too.
-        p = level.prolongation
-        np.testing.assert_allclose(
-            (p.T @ current.laplacian() @ p).toarray(),
-            level.graph.laplacian().toarray(),
-            atol=1e-9 * max(current.total_weight, 1.0),
-        )
-        current = level.graph
-    # Reprojection keeps the matching-build churn baseline, so churn keeps
-    # accumulating across small batches instead of resetting to zero.
-    assert refreshed.edge_churn(denser) == hierarchy.edge_churn(denser)
-    assert refreshed.fine_n_edges == hierarchy.fine_n_edges
 
 
 @SETTINGS

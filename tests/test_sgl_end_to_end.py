@@ -69,7 +69,6 @@ def test_stage_timings_recorded(grid_recovery):
 
 def test_engine_stats_attached(grid_recovery):
     _, _, result = grid_recovery
-    assert result.config.embedding_engine == "incremental"
     stats = result.engine_stats
     assert stats is not None
     assert stats["refreshes"] == stats["cold_solves"] + stats["warm_rayleigh_ritz"] + stats["warm_inverse"]
@@ -80,3 +79,19 @@ def test_learned_graph_is_connected(grid_recovery):
     truth, _, result = grid_recovery
     assert result.graph.n_nodes == truth.n_nodes
     assert result.graph.is_connected()
+
+
+def test_config_rejects_removed_step2_options():
+    import dataclasses
+
+    from repro import SGLConfig
+
+    # One Step-2 engine: neither the engine choice nor the multilevel
+    # engine's knobs are fields, and removed eigensolvers are rejected.
+    assert len(dataclasses.fields(SGLConfig)) == 14
+    for removed in ("embedding_engine", "multilevel_coarse_size", "multilevel_churn_threshold"):
+        with pytest.raises(TypeError, match=removed):
+            SGLConfig(**{removed: None})
+    for removed in ("lobpcg", "multilevel"):
+        with pytest.raises(ValueError, match="eigensolver"):
+            SGLConfig(eigensolver=removed)

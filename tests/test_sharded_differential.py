@@ -134,7 +134,6 @@ def test_medium_tier_resistance_correlation_within_5pct(name):
     config = dataclasses.replace(
         spec.make_config(truth.n_nodes),
         max_iterations=3,
-        embedding_engine="incremental",
     )
 
     serial = SGLearner(config).fit(data)

@@ -278,7 +278,8 @@ class TestOnlineSGLearner:
             assert "edge_scaling" in stages
 
     def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="embedding_engine"):
+        # The engine is no longer a choice: the field is gone.
+        with pytest.raises(TypeError, match="embedding_engine"):
             OnlineSGLearner(embedding_engine="stateless")
         with pytest.raises(ValueError, match="max_window"):
             OnlineSGLearner(max_window=0)
@@ -306,7 +307,7 @@ class TestOnlineSGLearner:
                 assert learner.window.n_measurements == 30
                 assert learner.graph is graph
                 assert learner.drift.updates_since_refit == since
-                assert learner.n_updates == 1 and len(learner.updates) == 1
+                assert learner.n_updates == 1
             return learner, learner.update(MeasurementSet(volts[:, 40:50], amps[:, 40:50]))
 
         (clean, clean_update), (poisoned, update) = learner_after(False), learner_after(True)
@@ -325,8 +326,8 @@ class TestOnlineSGLearner:
         batch = MeasurementSet(data.voltages[:, 30:40], data.currents[:, 30:40])
         # One fit iteration leaves sensitive candidates for the update to add.
         learner = OnlineSGLearner(beta=0.05, max_window=80, max_iterations=1)
-        learner.fit(MeasurementSet(data.voltages[:, :30], data.currents[:, :30]))
-        graph, scale = learner.graph, learner.updates[-1].scaling_factor
+        first = learner.fit(MeasurementSet(data.voltages[:, :30], data.currents[:, :30]))
+        graph, scale = learner.graph, first.scaling_factor
         pool = learner._state.pool_edges.copy()
         refreshes = learner._state.engine.stats.refreshes
 
@@ -345,6 +346,32 @@ class TestOnlineSGLearner:
         monkeypatch.undo()
         update = learner.update(batch)
         assert (update.mode, update.decision.reason) == ("refit", "degradation")
+
+    def test_learner_keeps_no_old_update_graphs(self):
+        # Each StreamUpdate holds its scaled graph; a long stream must not
+        # keep every one of them alive through the learner.
+        import gc
+        import weakref
+
+        from repro.stream import DriftDecision
+
+        stream = small_stream("additive")
+        learner, _ = self.make_learner()
+        learner.fit(stream.next_batch())
+        # Incremental updates only: a refit's result stays referenced as the
+        # base of later snapshots.
+        learner.drift.assess = lambda batch: DriftDecision(False, "stable", 1.0, 0.0, 1.0, 0)
+        update = learner.update(stream.next_batch())
+        assert update.mode == "incremental"
+        # WeightedGraph has no weakref slot; its scaled weight array is this
+        # update's own and lives exactly as long as the graph does (the
+        # ``weights`` property hands out views of it).
+        early = weakref.ref(update.graph._weights)
+        del update
+        for _ in range(3):
+            learner.update(stream.next_batch())
+        gc.collect()
+        assert early() is None
 
     def test_update_before_fit_rejected(self):
         learner, _ = self.make_learner()
