@@ -207,7 +207,6 @@ def save_sharded_result(
                 shard_graph,
                 config.r,
                 sigma_sq=config.sigma_sq,
-                method=config.eigensolver,
                 seed=config.seed,
             ).coordinates
         shard_result = result.shard_results[part]

@@ -180,7 +180,8 @@ def _config_to_meta(config: SGLConfig) -> dict:
 def _config_from_meta(data: dict) -> SGLConfig:
     data = dict(data)
     # Older artifacts also store fields removed since: the compute backend,
-    # the engine choice and the removed multilevel engine's knobs.
+    # the engine choice, the removed multilevel engine's knobs, the cold
+    # eigensolver, the sensitivity sketch and the initial-graph ablation.
     for key in (
         "linalg_backend",
         "refinement_backend",
@@ -188,6 +189,9 @@ def _config_from_meta(data: dict) -> SGLConfig:
         "embedding_engine",
         "multilevel_coarse_size",
         "multilevel_churn_threshold",
+        "eigensolver",
+        "sensitivity_samples",
+        "initial_graph",
     ):
         data.pop(key, None)
     if data.get("sigma_sq") == "inf":
@@ -324,7 +328,6 @@ def save_result(
             result.graph,
             config.r,
             sigma_sq=config.sigma_sq,
-            method=config.eigensolver,
             seed=config.seed,
         ).coordinates
     return save_artifact(

@@ -419,10 +419,12 @@ def compare(
 
         # Provenance drift is worth a note even when the numbers pass: a
         # changed resistance engine or a warm path that started falling
-        # back explains timing shifts the thresholds might just absorb.
+        # back explains timing shifts the thresholds might just absorb, and
+        # a changed learned graph is news even at equal quality.
         for info_key, label in (
             ("resistance_engine", "resistance engine"),
             ("engine_fallbacks", "engine fallbacks"),
+            ("graph_sha256", "learned graph"),
         ):
             base_val = base.get("info", {}).get(info_key)
             cand_val = cand.get("info", {}).get(info_key)

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.artifacts.store import payload_checksum
 from repro.bench.baselines import run_baseline
 from repro.bench.registry import ScenarioSpec
 from repro.core.instrumentation import STAGE_NAMES, StageTimings
@@ -407,6 +408,15 @@ def run_scenario(
             info={
                 "converged": result.converged,
                 "n_iterations": result.n_iterations,
+                # Fits are deterministic on one machine, so a changed
+                # fingerprint means the code learned another graph.
+                "graph_sha256": payload_checksum(
+                    {
+                        "rows": result.graph.rows,
+                        "cols": result.graph.cols,
+                        "weights": result.graph.weights,
+                    }
+                ),
                 "scaling_factor": result.scaling_factor,
                 "graph_build_seconds": graph_seconds,
                 "setup_seconds": setup_seconds,

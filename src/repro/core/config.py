@@ -42,25 +42,9 @@ class SGLConfig:
         analyses (and we default to) the ``sigma^2 -> inf`` limit.
     max_iterations:
         Safety cap on densification iterations.
-    eigensolver:
-        Backend for *cold* Step-2 solves (the embedding engine's, the
-        sharded stitch's and a saved artifact's embedding): ``"auto"``,
-        ``"dense"`` or ``"shift-invert"``.  The engine's warm refreshes use
-        Rayleigh-Ritz / warm-started inverse iteration.
-    sensitivity_samples:
-        ``None`` (default) keeps the paper's exact per-edge sensitivity
-        pass (Step 3).  A positive int opts into the Hutchinson-style
-        stochastic estimator: embedding and data distances are compared
-        through that many random-sign probe columns instead of all ``r-1``
-        eigenvectors / all measurement columns (see
-        :func:`repro.core.sensitivity.edge_sensitivities`).
     edge_scaling:
         Whether to apply Step 5 spectral edge scaling when current
         measurements are available.
-    initial_graph:
-        ``"mst"`` (paper: maximum spanning tree of the kNN graph), ``"knn"``
-        (use the full kNN graph, no densification candidates withheld) or
-        ``"random-tree"`` (ablation).
     track_objective:
         If True, the graphical-Lasso objective (Eq. 2) is evaluated every
         iteration and stored in the history (needed for Fig. 2/4-6 but
@@ -69,7 +53,8 @@ class SGLConfig:
         Number of smallest nonzero eigenvalues used to approximate
         ``log det`` in the objective (the paper uses 50).
     seed:
-        Random seed shared by the eigensolver starts and any sampling.
+        Random seed shared by the eigensolver starts and the kNN backends'
+        random projections.
 
     Examples
     --------
@@ -88,10 +73,7 @@ class SGLConfig:
     beta: float = 1e-3
     sigma_sq: float = np.inf
     max_iterations: int = 500
-    eigensolver: str = "auto"
-    sensitivity_samples: int | None = None
     edge_scaling: bool = True
-    initial_graph: str = "mst"
     track_objective: bool = False
     objective_eigenvalues: int = 50
     seed: int | None = 0
@@ -111,12 +93,6 @@ class SGLConfig:
             raise ValueError("max_iterations must be non-negative")
         if self.knn_backend not in {"auto", "brute", "kdtree", "jl"}:
             raise ValueError(f"unknown knn_backend {self.knn_backend!r}")
-        if self.initial_graph not in {"mst", "knn", "random-tree"}:
-            raise ValueError("initial_graph must be 'mst', 'knn' or 'random-tree'")
-        if self.eigensolver not in {"auto", "dense", "shift-invert"}:
-            raise ValueError(f"unknown eigensolver {self.eigensolver!r}")
-        if self.sensitivity_samples is not None and self.sensitivity_samples < 1:
-            raise ValueError("sensitivity_samples must be None or at least 1")
         if self.objective_eigenvalues < 1:
             raise ValueError("objective_eigenvalues must be at least 1")
 

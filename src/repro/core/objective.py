@@ -58,7 +58,6 @@ def objective_terms(
     sigma_sq: float = np.inf,
     beta: float = 0.0,
     n_eigenvalues: int = 50,
-    eigensolver: str = "auto",
     seed: int | None = 0,
 ) -> ObjectiveTerms:
     """Evaluate the three terms of Eq. (2) separately.
@@ -87,9 +86,7 @@ def objective_terms(
     shift = 0.0 if not np.isfinite(sigma_sq) else 1.0 / sigma_sq
 
     k = min(n_eigenvalues, n - 1)
-    values, _ = laplacian_eigenpairs(
-        laplacian, k, method=eigensolver, drop_trivial=True, seed=seed
-    )
+    values, _ = laplacian_eigenpairs(laplacian, k, drop_trivial=True, seed=seed)
     values = np.maximum(values, 1e-300)
     log_det = float(np.sum(np.log(values + shift)))
     if shift > 0:
@@ -118,7 +115,6 @@ def graphical_lasso_objective(
     sigma_sq: float = np.inf,
     beta: float = 0.0,
     n_eigenvalues: int = 50,
-    eigensolver: str = "auto",
     seed: int | None = 0,
 ) -> float:
     """The objective value ``F`` of Eq. (2) (higher is better)."""
@@ -128,6 +124,5 @@ def graphical_lasso_objective(
         sigma_sq=sigma_sq,
         beta=beta,
         n_eigenvalues=n_eigenvalues,
-        eigensolver=eigensolver,
         seed=seed,
     ).value

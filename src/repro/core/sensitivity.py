@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.embedding.spectral import SpectralEmbedding
-from repro.measurements.jl import jl_projection_matrix
 
 __all__ = [
     "data_distances_squared",
@@ -28,21 +27,6 @@ __all__ = [
     "eigenvalue_perturbations",
     "sgl_edge_weights",
 ]
-
-
-def _sketch_columns(matrix: np.ndarray, n_samples: int, seed: int | None) -> np.ndarray:
-    """Hutchinson-style column sketch: ``matrix @ R`` with random-sign probes.
-
-    ``R`` has shape ``(n_columns, n_samples)`` with entries
-    ``+-1/sqrt(n_samples)``, so for any row-difference vector ``v``,
-    ``E[||v @ R||^2] = ||v||^2`` — squared pair distances computed from the
-    sketched matrix are unbiased estimates of the exact ones.  When the
-    sketch would not shrink the matrix it is returned unchanged.
-    """
-    n_columns = matrix.shape[1]
-    if n_samples >= n_columns:
-        return matrix
-    return matrix @ jl_projection_matrix(n_columns, n_samples, seed=seed)
 
 
 def data_distances_squared(voltages: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -76,8 +60,6 @@ def edge_sensitivities(
     voltages: np.ndarray,
     pairs: np.ndarray,
     *,
-    n_samples: int | None = None,
-    seed: int | None = 0,
     data_term: np.ndarray | None = None,
 ) -> np.ndarray:
     """Edge sensitivities ``s_st = dF / dw_st ~= z_emb - z_data / M`` (Eq. 13).
@@ -87,61 +69,29 @@ def edge_sensitivities(
     larger than the measured data distance); the SGL loop adds the largest
     ones each iteration.
 
-    ``n_samples`` opts into the Hutchinson-style stochastic estimator
-    (``SGLConfig.sensitivity_samples``): instead of touching all ``M``
-    measurement columns (and all embedding coordinates) per candidate edge,
-    both matrices are first compressed through random-sign probe sketches of
-    that many columns, an unbiased estimate of the exact squared distances.
-    ``None`` (default) keeps the exact pass.
-
-    ``data_term`` is the exact pass's ``z_data / M`` for ``pairs``, when the
-    caller already has it: the data do not change inside the densification
-    loop, so :func:`repro.core.sgl.densify` computes it once per call.  It
-    cannot be combined with ``n_samples``.
+    ``data_term`` is ``z_data / M`` for ``pairs``, when the caller already
+    has it: the data do not change inside the densification loop, so
+    :func:`repro.core.sgl.densify` computes it once per call.
 
     Examples
     --------
-    The estimator is unbiased, so with enough probes the ranking agrees
-    with the exact pass:
-
     >>> import numpy as np
     >>> from repro.core.sensitivity import edge_sensitivities
     >>> from repro.embedding.spectral import SpectralEmbedding
-    >>> rng = np.random.default_rng(0)
-    >>> coords = rng.standard_normal((30, 4))
+    >>> coords = np.array([[0.0], [2.0], [3.0]])
     >>> emb = SpectralEmbedding(
-    ...     eigenvalues=np.ones(4), eigenvectors=coords,
+    ...     eigenvalues=np.ones(1), eigenvectors=coords,
     ...     coordinates=coords, sigma_sq=float("inf"),
     ... )
-    >>> voltages = rng.standard_normal((30, 64))
-    >>> pairs = np.array([[0, 1], [2, 3], [4, 5]])
-    >>> exact = edge_sensitivities(emb, voltages, pairs)
-    >>> approx = edge_sensitivities(emb, voltages, pairs, n_samples=48, seed=1)
-    >>> bool(np.allclose(exact, approx, atol=1.0))
-    True
+    >>> voltages = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 3.0]])
+    >>> edge_sensitivities(emb, voltages, np.array([[0, 1], [1, 2]])).tolist()
+    [3.0, -1.0]
     """
     voltages = np.asarray(voltages, dtype=np.float64)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    n_measurements = voltages.shape[1]
-    if n_samples is not None:
-        if data_term is not None:
-            raise ValueError("data_term is the exact pass's; it cannot be combined with n_samples")
-        if n_samples < 1:
-            raise ValueError("n_samples must be None or at least 1")
-        # Sketch before differencing: z_data/M is preserved in expectation
-        # because the probe matrix is scaled by 1/sqrt(n_samples) and the
-        # 1/M normalisation is applied to the *exact* column count below.
-        voltages_sk = _sketch_columns(voltages, n_samples, seed)
-        coords_sk = _sketch_columns(
-            np.asarray(embedding.coordinates, dtype=np.float64), n_samples, seed
-        )
-        diffs = coords_sk[pairs[:, 0]] - coords_sk[pairs[:, 1]]
-        z_emb = np.einsum("ij,ij->i", diffs, diffs)
-        z_data = data_distances_squared(voltages_sk, pairs)
-        return z_emb - z_data / n_measurements
     z_emb = embedding.pair_distances_squared(pairs)
     if data_term is None:
-        data_term = data_distances_squared(voltages, pairs) / n_measurements
+        data_term = data_distances_squared(voltages, pairs) / voltages.shape[1]
     return z_emb - data_term
 
 

@@ -65,8 +65,7 @@ class SGLResult:
         The learned graph before Step 5 (identical topology and relative
         weights; only the global conductance scale differs).
     initial_graph:
-        The spanning tree (or other initial graph) the densification started
-        from.
+        The maximum spanning tree the densification started from.
     knn_graph:
         The kNN graph providing the candidate edge pool.
     history:
@@ -131,9 +130,7 @@ def make_engine(config: SGLConfig) -> EmbeddingEngine:
 
     The batch fit and the online learner both build their engine here.
     """
-    return EmbeddingEngine(
-        config.r, sigma_sq=config.sigma_sq, method=config.eigensolver, seed=config.seed
-    )
+    return EmbeddingEngine(config.r, sigma_sq=config.sigma_sq, seed=config.seed)
 
 
 @dataclass
@@ -253,18 +250,13 @@ def densify(
         ):
             embedding = state.refresh(timings)
             with timings.stage("sensitivity"):
-                if data_term is None and config.sensitivity_samples is None:
-                    # The data do not change inside the loop, so the exact
-                    # pass's z_data / M of every candidate is computed once
-                    # and shrinks with the pool.
+                if data_term is None:
+                    # The data do not change inside the loop, so each
+                    # candidate's z_data / M is computed once and shrinks
+                    # with the pool.
                     data_term = data_distances_squared(voltages, state.pool_edges) / voltages.shape[1]
                 sensitivities = edge_sensitivities(
-                    embedding,
-                    voltages,
-                    state.pool_edges,
-                    n_samples=config.sensitivity_samples,
-                    seed=config.seed,
-                    data_term=data_term,
+                    embedding, voltages, state.pool_edges, data_term=data_term
                 )
             max_sensitivity = float(sensitivities.max())
 
@@ -285,9 +277,7 @@ def densify(
                 with timings.stage("edge_selection"):
                     order = np.argsort(sensitivities)[::-1][:batch_size]
                     chosen = order[sensitivities[order] > config.tol]
-                    keep = state.add(chosen)
-                    if data_term is not None:
-                        data_term = data_term[keep]
+                    data_term = data_term[state.add(chosen)]
                 n_added = int(chosen.size)
 
             history.append(
@@ -336,7 +326,7 @@ class SGLearner:
     def _initial_graphs(
         self, voltages: np.ndarray, timings: StageTimings
     ) -> tuple[WeightedGraph, WeightedGraph]:
-        """Build the candidate kNN graph and the initial graph (Step 1)."""
+        """Build the candidate kNN graph and its maximum spanning tree (Step 1)."""
         config = self.config
         n_nodes = voltages.shape[0]
         k = min(config.k, n_nodes - 1)
@@ -349,24 +339,8 @@ class SGLearner:
                 backend=config.knn_backend,
                 backend_options={"seed": config.seed},
             )
-        if config.initial_graph == "knn":
-            return candidates, candidates.copy()
-        if config.initial_graph == "mst":
-            with timings.stage("initial_tree"):
-                return candidates, maximum_spanning_tree(candidates)
-        # "random-tree": a spanning tree chosen with random edge priorities.
-        rng = np.random.default_rng(config.seed)
-        random_priorities = candidates.with_weights(rng.random(candidates.n_edges) + 0.5)
-        tree_topology = maximum_spanning_tree(random_priorities)
-        # Restore the SGL weights on the chosen tree edges (one vectorised
-        # binary-search lookup instead of an O(V*E) per-edge scan).
-        tree = WeightedGraph(
-            candidates.n_nodes,
-            tree_topology.rows,
-            tree_topology.cols,
-            candidates.edge_weights(tree_topology.edges),
-        )
-        return candidates, tree
+        with timings.stage("initial_tree"):
+            return candidates, maximum_spanning_tree(candidates)
 
     # ------------------------------------------------------------------
     def fit(

@@ -24,7 +24,6 @@ def spectral_clustering(
     *,
     n_eigenvectors: int | None = None,
     normalize_rows: bool = True,
-    method: str = "auto",
     seed: int | None = 0,
 ) -> np.ndarray:
     """Partition graph nodes into ``n_clusters`` spectral clusters.
@@ -70,7 +69,7 @@ def spectral_clustering(
         return np.zeros(graph.n_nodes, dtype=np.int64)
     k = n_eigenvectors if n_eigenvectors is not None else n_clusters
     k = min(k, graph.n_nodes - 1)
-    _, vectors = laplacian_eigenpairs(graph, k, method=method, seed=seed)
+    _, vectors = laplacian_eigenpairs(graph, k, seed=seed)
     features = vectors
     if normalize_rows:
         norms = np.linalg.norm(features, axis=1, keepdims=True)

@@ -21,7 +21,6 @@ def spectral_layout(
     graph: WeightedGraph,
     *,
     dimensions: int = 2,
-    method: str = "auto",
     seed: int | None = 0,
 ) -> np.ndarray:
     """Node coordinates from the first nontrivial Laplacian eigenvectors.
@@ -33,9 +32,6 @@ def spectral_layout(
     dimensions:
         Number of coordinates per node; 2 (``u_2``, ``u_3``) matches the
         paper's figures.
-    method:
-        Eigensolver backend forwarded to
-        :func:`repro.linalg.laplacian_eigenpairs`.
 
     Returns
     -------
@@ -52,7 +48,7 @@ def spectral_layout(
     if dimensions < 1:
         raise ValueError("dimensions must be at least 1")
     k = min(dimensions, graph.n_nodes - 1)
-    _, vectors = laplacian_eigenpairs(graph, k, method=method, seed=seed)
+    _, vectors = laplacian_eigenpairs(graph, k, seed=seed)
     coords = vectors[:, :dimensions]
     if coords.shape[1] < dimensions:
         pad = np.zeros((graph.n_nodes, dimensions - coords.shape[1]))

@@ -35,7 +35,7 @@ After a refresh the factor belongs to the refreshed graph, and
 which needs the same factor) does not factorise the graph a second time.
 
 The acceptance test is *eigenvalue-relative* (``||L u - theta u|| <=
-warm_tol * theta``), because the embedding scales coordinates by
+WARM_TOL * theta``), because the embedding scales coordinates by
 ``1/sqrt(lambda)``: an absolute residual that is small next to ``lambda_max``
 can still bias ``lambda_2`` — and hence every embedding distance and edge
 sensitivity — enough to derail the densification trajectory.
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 import scipy.linalg
@@ -67,6 +66,46 @@ __all__ = ["EmbeddingEngine", "EngineStats"]
 #: blanket Exception, so programming errors surface instead of silently
 #: degrading every refresh to the stateless path.
 _NUMERICAL_FAILURES = (RuntimeError, ValueError, ArithmeticError, np.linalg.LinAlgError)
+
+#: Strict eigenvalue-relative residual acceptance threshold: a tower check is
+#: accepted outright when ``||L u_i - theta_i u_i|| <= WARM_TOL * theta_i``
+#: for every kept pair.
+WARM_TOL = 1e-3
+#: Ritz-value-stability acceptance threshold: a check is also accepted when
+#: every kept Ritz value moved by at most ``DRIFT_TOL * theta_i`` relative to
+#: the tower's one-level-shallower subspace and the residuals stay below
+#: ``RESIDUAL_CAP``.  Ritz-value stability is the criterion that matters for
+#: the embedding: coordinates scale by ``1/sqrt(lambda)``, and leftover
+#: vector error at a stabilised Ritz value is rotation within an eigenvalue
+#: cluster, which barely moves embedding distances.  The drift estimate lags
+#: the true Ritz error by roughly an order of magnitude, hence a value an
+#: order looser than the ~1e-3 accuracy it corresponds to in practice.
+DRIFT_TOL = 0.02
+#: Hard eigenvalue-relative residual bound that must hold even when
+#: accepting on Ritz-value stability (guards against accepting a stagnated,
+#: not-yet-converged tower).
+RESIDUAL_CAP = 0.2
+#: ARPACK tolerance for the engine's cold solves.  The stateless path keeps
+#: its machine-precision default; the engine targets embedding-grade
+#: accuracy throughout, so spending Lanczos restarts beyond this would buy
+#: nothing the warm path preserves.
+COLD_TOL = 1e-7
+#: Extra trailing eigenpairs tracked beyond the ``r - 1`` the embedding
+#: needs.  They keep eigenvalue clusters at the block boundary inside the
+#: iterated subspace, which is what makes the tower converge fast.
+GUARD_VECTORS = 2
+#: Deepest inverse-iteration Krylov tower grown before declaring a
+#: fallback.  The engine remembers the depth the previous refresh needed and
+#: lifts straight to it, extending two levels at a time when the
+#: convergence check fails.
+MAX_DEPTH = 8
+#: Below this many nodes the engine always solves cold: dense solves on tiny
+#: graphs are cheaper than bookkeeping.
+WARM_MIN_NODES = 128
+#: After this many warm failures in a row the engine stops attempting warm
+#: starts for the rest of its lifetime (automatic degradation to a cold
+#: solve on every refresh).
+MAX_CONSECUTIVE_FALLBACKS = 3
 
 
 def _mean_free(block: np.ndarray) -> np.ndarray:
@@ -131,53 +170,13 @@ class EmbeddingEngine:
         ``r - 1`` nontrivial vectors ``u_2 .. u_r``).
     sigma_sq:
         Prior feature variance forwarded to the Eq. (12) scaling.
-    method:
-        Eigensolver backend for *cold* solves (``"auto"``, ``"dense"`` or
-        ``"shift-invert"``); warm refreshes always use Rayleigh-Ritz /
-        inverse iteration regardless.
     seed:
-        Seed forwarded to the iterative cold backends.
-    warm_tol:
-        Strict eigenvalue-relative residual acceptance threshold: a tower
-        check is accepted outright when ``||L u_i - theta_i u_i|| <=
-        warm_tol * theta_i`` for every kept pair.  ``0`` disables warm
-        starts entirely.
-    drift_tol:
-        Ritz-value-stability acceptance threshold: a check is also accepted
-        when every kept Ritz value moved by at most ``drift_tol * theta_i``
-        relative to the tower's one-level-shallower subspace and the
-        residuals stay below ``residual_cap``.  Ritz-value stability is the
-        criterion that matters for the embedding: coordinates scale by
-        ``1/sqrt(lambda)``, and leftover vector error at a stabilised Ritz
-        value is rotation within an eigenvalue cluster, which barely moves
-        embedding distances.  The drift estimate lags the true Ritz error
-        by roughly an order of magnitude, hence the default an order looser
-        than the ~1e-3 accuracy it corresponds to in practice.
-    residual_cap:
-        Hard eigenvalue-relative residual bound that must hold even when
-        accepting on Ritz-value stability (guards against accepting a
-        stagnated, not-yet-converged tower).
-    cold_tol:
-        ARPACK tolerance for the engine's cold solves.  The stateless path
-        keeps its machine-precision default; the engine targets
-        embedding-grade accuracy throughout, so spending Lanczos restarts
-        beyond ``cold_tol`` would buy nothing the warm path preserves.
-    guard_vectors:
-        Extra trailing eigenpairs tracked beyond the ``r - 1`` the embedding
-        needs.  They keep eigenvalue clusters at the block boundary inside
-        the iterated subspace, which is what makes the tower converge fast.
-    max_depth:
-        Deepest inverse-iteration Krylov tower grown before declaring a
-        fallback.  The engine remembers the depth the previous refresh
-        needed and lifts straight to it, extending two levels at a time
-        when the convergence check fails.
-    warm_min_nodes:
-        Below this many nodes the engine always solves cold — dense solves
-        on tiny graphs are cheaper than bookkeeping.
-    max_consecutive_fallbacks:
-        After this many warm failures in a row the engine stops attempting
-        warm starts for the rest of its lifetime (automatic degradation to
-        a cold solve on every refresh).
+        Seed of the cold solves' Lanczos start vector.
+
+    The warm ladder's thresholds are the module constants :data:`WARM_TOL`,
+    :data:`DRIFT_TOL`, :data:`RESIDUAL_CAP`, :data:`COLD_TOL`,
+    :data:`GUARD_VECTORS`, :data:`MAX_DEPTH`, :data:`WARM_MIN_NODES` and
+    :data:`MAX_CONSECUTIVE_FALLBACKS`.
 
     Examples
     --------
@@ -185,7 +184,7 @@ class EmbeddingEngine:
     >>> from repro.embedding.engine import EmbeddingEngine
     >>> from repro.graphs.generators import grid_2d
     >>> graph = grid_2d(12, 12)
-    >>> engine = EmbeddingEngine(r=3, warm_min_nodes=16)
+    >>> engine = EmbeddingEngine(r=3)
     >>> first = engine.refresh(graph)          # first refresh is a cold solve
     >>> engine.last_mode
     'cold'
@@ -200,46 +199,12 @@ class EmbeddingEngine:
     #: Refresh outcomes reported by :attr:`last_mode`.
     MODES = ("cold", "warm-rr", "warm-inverse", "fallback")
 
-    def __init__(
-        self,
-        r: int = 5,
-        *,
-        sigma_sq: float = np.inf,
-        method: Literal["auto", "dense", "shift-invert"] = "auto",
-        seed: int | None = 0,
-        warm_tol: float = 1e-3,
-        drift_tol: float = 0.02,
-        residual_cap: float = 0.2,
-        cold_tol: float = 1e-7,
-        guard_vectors: int = 2,
-        max_depth: int = 8,
-        warm_min_nodes: int = 128,
-        max_consecutive_fallbacks: int = 3,
-    ) -> None:
+    def __init__(self, r: int = 5, *, sigma_sq: float = np.inf, seed: int | None = 0) -> None:
         if r < 2:
             raise ValueError("r must be at least 2 (at least one nontrivial eigenvector)")
-        if warm_tol < 0:
-            raise ValueError("warm_tol must be non-negative")
-        if drift_tol <= 0:
-            raise ValueError("drift_tol must be positive")
-        if residual_cap <= 0:
-            raise ValueError("residual_cap must be positive")
-        if guard_vectors < 0:
-            raise ValueError("guard_vectors must be non-negative")
-        if max_depth < 2:
-            raise ValueError("max_depth must be at least 2")
         self.r = int(r)
         self.sigma_sq = sigma_sq
-        self.method = method
         self.seed = seed
-        self.warm_tol = float(warm_tol)
-        self.drift_tol = float(drift_tol)
-        self.residual_cap = float(residual_cap)
-        self.cold_tol = float(cold_tol)
-        self.guard_vectors = int(guard_vectors)
-        self.max_depth = int(max_depth)
-        self.warm_min_nodes = int(warm_min_nodes)
-        self.max_consecutive_fallbacks = int(max_consecutive_fallbacks)
 
         self.stats = EngineStats()
         self.last_mode: str | None = None
@@ -332,7 +297,7 @@ class EmbeddingEngine:
                 lap @ vectors[:, :k], vectors[:, :k], self._values[:k], scale
             )
             if np.all(np.isfinite(residuals)) and bool(
-                (residuals <= self.warm_tol).all()
+                (residuals <= WARM_TOL).all()
             ):
                 return self._values, vectors, "warm-rr"
 
@@ -347,12 +312,12 @@ class EmbeddingEngine:
         # comparing Ritz values between the two gives a free convergence
         # estimate (Krylov saturation <=> eigenvalues stabilised).  The
         # estimate lags the true error by an order of magnitude (it measures
-        # what the last level still contributed), hence drift_tol being
-        # looser than warm_tol.
+        # what the last level still contributed), hence DRIFT_TOL being
+        # looser than WARM_TOL.
         blocks = [vectors]
         current = vectors[:, :k]
         depth = 0
-        target = min(max(2, self._krylov_depth), self.max_depth)
+        target = min(max(2, self._krylov_depth), MAX_DEPTH)
         while True:
             try:
                 while depth < target:
@@ -392,20 +357,20 @@ class EmbeddingEngine:
             )
             if not np.all(np.isfinite(residuals)):
                 return None
-            by_residual = residuals <= self.warm_tol
-            stable = (drift <= self.drift_tol) & (residuals <= self.residual_cap)
+            by_residual = residuals <= WARM_TOL
+            stable = (drift <= DRIFT_TOL) & (residuals <= RESIDUAL_CAP)
             if bool((by_residual | stable).all()):
                 # Let the remembered depth decay when the tower was deeper
                 # than this batch needed, so easy stretches stay cheap.
                 margin = float(np.maximum(drift, residuals / 10.0).max())
                 self._krylov_depth = (
-                    max(2, depth - 1) if margin <= 0.1 * self.drift_tol else depth
+                    max(2, depth - 1) if margin <= 0.1 * DRIFT_TOL else depth
                 )
                 return values, candidate, "warm-inverse"
-            if depth >= self.max_depth:
+            if depth >= MAX_DEPTH:
                 self._krylov_depth = 2
                 return None
-            target = min(depth + 2, self.max_depth)
+            target = min(depth + 2, MAX_DEPTH)
             self._krylov_depth = target
 
     # ------------------------------------------------------------------
@@ -446,17 +411,16 @@ class EmbeddingEngine:
         k = min(self.r - 1, n - 1)
         if k < 1:
             raise ValueError("graph too small to embed (need at least two nodes)")
-        k_work = min(k + self.guard_vectors, n - 1)
+        k_work = min(k + GUARD_VECTORS, n - 1)
         start = time.perf_counter()
 
         warm_possible = (
             not self._warm_disabled
-            and self.warm_tol > 0
             and self._vectors is not None
             and self._n_nodes == n
             and self._vectors.shape[1] == k_work
             and self._solver is not None
-            and n >= self.warm_min_nodes
+            and n >= WARM_MIN_NODES
         )
 
         mode = "cold"
@@ -471,7 +435,7 @@ class EmbeddingEngine:
             else:
                 mode = "fallback"
                 self._consecutive_fallbacks += 1
-                if self._consecutive_fallbacks >= self.max_consecutive_fallbacks:
+                if self._consecutive_fallbacks >= MAX_CONSECUTIVE_FALLBACKS:
                     self._warm_disabled = True
 
         if values is None:
@@ -484,16 +448,15 @@ class EmbeddingEngine:
                 operand = self._solver
             except _NUMERICAL_FAILURES:
                 operand = graph
-            # The engine targets embedding-grade accuracy (warm_tol), so its
+            # The engine targets embedding-grade accuracy (WARM_TOL), so its
             # cold solves request a finite ARPACK tolerance instead of the
             # stateless path's machine-precision default — several Lanczos
             # restarts cheaper at identical embedding quality.
             values, vectors = laplacian_eigenpairs(
                 operand,
                 k_work,
-                method=self.method,
                 drop_trivial=True,
-                tol=self.cold_tol,
+                tol=COLD_TOL,
                 seed=self.seed,
             )
             self.stats.cold_solves += 1

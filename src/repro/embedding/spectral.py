@@ -23,7 +23,6 @@ drives, for the sharded stitch's correction sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -128,7 +127,6 @@ def spectral_embedding_matrix(
     r: int = 5,
     *,
     sigma_sq: float = np.inf,
-    method: Literal["auto", "dense", "shift-invert"] = "auto",
     seed: int | None = 0,
 ) -> SpectralEmbedding:
     """Compute the spectral embedding ``U_r`` of Eq. (12).
@@ -144,9 +142,10 @@ def spectral_embedding_matrix(
     sigma_sq:
         Prior feature variance; ``inf`` (default) scales by ``1/sqrt(lambda)``
         so squared distances converge to effective resistances.
-    method:
-        Eigensolver backend, forwarded to
-        :func:`repro.linalg.laplacian_eigenpairs`.
+    seed:
+        Seed of the Lanczos start vector, forwarded to
+        :func:`repro.linalg.laplacian_eigenpairs` (whose ``"auto"`` policy
+        solves dense up to 600 nodes).
 
     Examples
     --------
@@ -159,17 +158,17 @@ def spectral_embedding_matrix(
     if r < 2:
         raise ValueError("r must be at least 2 (at least one nontrivial eigenvector)")
     k = min(r - 1, graph.n_nodes - 1)
-    values, vectors = laplacian_eigenpairs(graph, k, method=method, drop_trivial=True, seed=seed)
+    values, vectors = laplacian_eigenpairs(graph, k, drop_trivial=True, seed=seed)
     return embedding_from_eigenpairs(values, vectors, sigma_sq)
 
 
 class StatelessEmbeddingEngine:
     """Step-2 engine that embeds cold on every refresh and keeps no state.
 
-    ``options`` are :func:`spectral_embedding_matrix`'s keywords.  The class
-    gives the stateless path the stateful engines' ``refresh`` interface, so
-    the densification loop drives every engine alike; ``stats`` is ``None``,
-    as there is nothing to count.
+    The parameters are :func:`spectral_embedding_matrix`'s.  The class gives
+    the stateless path the stateful engine's ``refresh`` interface, so the
+    densification loop drives both alike; ``stats`` is ``None``, as there is
+    nothing to count.
 
     >>> from repro.graphs.generators import grid_2d
     >>> StatelessEmbeddingEngine(r=3).refresh(grid_2d(5, 5)).dimension
@@ -178,9 +177,10 @@ class StatelessEmbeddingEngine:
 
     stats = None
 
-    def __init__(self, r: int = 5, **options) -> None:
+    def __init__(self, r: int = 5, *, sigma_sq: float = np.inf, seed: int | None = 0) -> None:
         self.r = int(r)
-        self.options = options
+        self.sigma_sq = sigma_sq
+        self.seed = seed
 
     def refresh(self, graph: WeightedGraph, added_edges=None, *, timings=None) -> SpectralEmbedding:
         """Embed ``graph`` from scratch (``added_edges`` is ignored).
@@ -188,6 +188,6 @@ class StatelessEmbeddingEngine:
         With ``timings``, the solve is recorded as one ``embedding`` stage.
         """
         if timings is None:
-            return spectral_embedding_matrix(graph, self.r, **self.options)
-        with timings.stage("embedding", method=self.options.get("method", "auto")):
-            return spectral_embedding_matrix(graph, self.r, **self.options)
+            return spectral_embedding_matrix(graph, self.r, sigma_sq=self.sigma_sq, seed=self.seed)
+        with timings.stage("embedding"):
+            return self.refresh(graph)

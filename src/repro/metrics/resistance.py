@@ -98,8 +98,11 @@ def effective_resistance_batched(
         Optional pre-built :class:`~repro.linalg.LaplacianSolver` to reuse
         its factorisation across calls (what a serving session does).
     block_size:
-        Maximum number of right-hand sides per grouped solve; bounds the
-        dense ``(N, block_size)`` scratch matrix.
+        Maximum number of right-hand sides per grouped solve.  Each block
+        is further capped at ``max(1, 2**26 // (8 N))`` columns, so its
+        dense ``(N, block)`` scratch matrix stays within 64 MiB: the cap
+        leaves graphs up to 32k nodes at the default 256 columns and takes
+        a 1M-node graph to 8.
 
     Examples
     --------
@@ -120,6 +123,7 @@ def effective_resistance_batched(
         raise ValueError(f"pair ({bad[0]}, {bad[1]}) out of range for {n} nodes")
     out = np.zeros(pairs.shape[0])
     distinct = np.where(pairs[:, 0] != pairs[:, 1])[0]
+    block_size = min(block_size, max(1, (1 << 26) // (8 * n)))
     for start in range(0, distinct.size, block_size):
         chunk = distinct[start:start + block_size]
         s, t = pairs[chunk, 0], pairs[chunk, 1]

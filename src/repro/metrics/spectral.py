@@ -82,7 +82,6 @@ def compare_eigenvalues(
     learned: WeightedGraph,
     k: int = 50,
     *,
-    method: str = "auto",
     seed: int | None = 0,
 ) -> EigenvalueComparison:
     """First ``k`` nonzero eigenvalues of both graphs, paired by index.
@@ -94,6 +93,6 @@ def compare_eigenvalues(
     k_eff = min(k, original.n_nodes - 1, learned.n_nodes - 1)
     if k_eff < 1:
         raise ValueError("graphs are too small to compare eigenvalues")
-    original_values, _ = laplacian_eigenpairs(original, k_eff, method=method, seed=seed)
-    learned_values, _ = laplacian_eigenpairs(learned, k_eff, method=method, seed=seed)
+    original_values, _ = laplacian_eigenpairs(original, k_eff, seed=seed)
+    learned_values, _ = laplacian_eigenpairs(learned, k_eff, seed=seed)
     return EigenvalueComparison(original=original_values, learned=learned_values)

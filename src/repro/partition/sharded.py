@@ -445,9 +445,7 @@ class ShardedSGLearner:
         # is cold for any engine, there are only ``stitch_sweeps`` of them,
         # and a warm engine would keep a factorisation of the whole global
         # Laplacian alive between them, the memory sharding exists to save.
-        engine = StatelessEmbeddingEngine(
-            config.r, sigma_sq=config.sigma_sq, method=config.eigensolver, seed=config.seed
-        )
+        engine = StatelessEmbeddingEngine(config.r, sigma_sq=config.sigma_sq, seed=config.seed)
         # The pool is every candidate edge the stitched graph still lacks
         # (shards can also learn non-candidate edges — connectivity
         # repairs — which simply stay in the union).

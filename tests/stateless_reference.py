@@ -15,9 +15,7 @@ from repro.embedding import StatelessEmbeddingEngine
 
 
 def _make_stateless_engine(config):
-    return StatelessEmbeddingEngine(
-        config.r, sigma_sq=config.sigma_sq, method=config.eigensolver, seed=config.seed
-    )
+    return StatelessEmbeddingEngine(config.r, sigma_sq=config.sigma_sq, seed=config.seed)
 
 
 def stateless_engine():

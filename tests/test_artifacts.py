@@ -88,7 +88,7 @@ class TestRoundTrip:
         assert artifact.meta["source"] == "SGLearner.fit"
 
     def test_custom_config_round_trip(self, tmp_path):
-        config = SGLConfig(k=7, r=4, sigma_sq=2.5, eigensolver="dense")
+        config = SGLConfig(k=7, r=4, sigma_sq=2.5, tol=1e-9)
         graph = grid_2d(4, 4)
         path = save_artifact(graph, config, tmp_path / "m.npz")
         artifact = load_result(path)
@@ -214,8 +214,9 @@ class TestValidation:
 
     def test_stored_compute_backend_field_is_dropped(self, learned, tmp_path):
         # Artifacts written before the compute-backend seam, the engine
-        # choice and the multilevel engine's knobs were removed carry their
-        # keys in the stored config.
+        # choice, the multilevel engine's knobs, the cold eigensolver, the
+        # sensitivity sketch and the initial-graph ablation were removed
+        # carry their keys in the stored config.
         dropped = {
             "linalg_backend": "numpy",
             "refinement_backend": "lobpcg",
@@ -223,6 +224,9 @@ class TestValidation:
             "embedding_engine": "multilevel",
             "multilevel_coarse_size": 64,
             "multilevel_churn_threshold": 0.25,
+            "eigensolver": "dense",
+            "sensitivity_samples": 32,
+            "initial_graph": "random-tree",
         }
         path = save_result(learned, tmp_path / "m.npz")
         old = self._with_meta(
@@ -238,7 +242,7 @@ class TestValidation:
 
     def test_removed_config_value_rejected(self, learned, tmp_path):
         path = save_result(learned, tmp_path / "m.npz")
-        removed = {"knn_backend": "nsw", "eigensolver": "multilevel"}
+        removed = {"knn_backend": "nsw"}
         for key, value in removed.items():
             bad = self._with_meta(
                 path,

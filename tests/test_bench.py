@@ -244,6 +244,40 @@ def test_compare_treats_absent_fallback_count_as_zero(tiny_records):
     assert any("fallbacks" in note for note in report.notes)
 
 
+def test_compare_notes_a_one_edge_change_to_the_learned_graph(tiny_records, monkeypatch):
+    import dataclasses
+
+    from repro.core.sgl import SGLearner
+
+    fit = SGLearner.fit
+
+    def fit_plus_one_edge(self, *args, **kwargs):
+        result = fit(self, *args, **kwargs)
+        # A one-edge change too faint to move any quality metric.
+        far = (0, result.graph.n_nodes - 1)
+        assert not result.graph.has_edge(*far)
+        faint = 1e-9 * float(result.graph.weights.min())
+        return dataclasses.replace(result, graph=result.graph.add_edges([far], [faint]))
+
+    monkeypatch.setattr(SGLearner, "fit", fit_plus_one_edge)
+    changed = run_scenario(get_scenario("grid_2d/tiny"), repeats=2)
+    baseline = make_artifact("unit", tiny_records[:1])
+    candidate = make_artifact("unit", changed)
+    assert candidate["results"][0]["info"]["graph_sha256"] != baseline["results"][0]["info"]["graph_sha256"]
+    # Timing noise is not this test's subject; the change passes every
+    # other gate and shows up as a note on its own line.
+    report = compare(baseline, candidate, time_threshold=1e9)
+    assert report.ok
+    changed_notes = [note for note in report.notes if "learned graph changed" in note]
+    assert len(changed_notes) == 1
+    assert changed_notes[0].startswith("grid_2d/tiny (sgl): learned graph changed")
+    assert not any("learned graph" in note for note in compare(baseline, baseline).notes)
+    # Committed records from before the fingerprint say nothing about it.
+    stripped = json.loads(json.dumps(baseline))
+    stripped["results"][0]["info"].pop("graph_sha256")
+    assert not any("learned graph" in note for note in compare(stripped, candidate).notes)
+
+
 # ----------------------------------------------------------------------
 # CLI (the acceptance-criteria flow)
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ ENGINES = ("stateless", "incremental")
 def _engine_embedding(name, graph, r):
     if name == "stateless":
         return spectral_embedding_matrix(graph, r)
-    return EmbeddingEngine(r, warm_min_nodes=16).refresh(graph)
+    return EmbeddingEngine(r).refresh(graph)
 
 
 @pytest.mark.parametrize("name", ENGINES)
@@ -59,7 +59,7 @@ def test_engines_agree_after_densification_rounds(name):
     """The warm engine tracks the stateless subspace across edge additions."""
     rng = np.random.default_rng(0)
     graph = grid_2d(16, 16)
-    engine = EmbeddingEngine(4, warm_min_nodes=16)
+    engine = EmbeddingEngine(4)
     engine.refresh(graph)
     for _ in range(6):
         existing = graph.edge_set()

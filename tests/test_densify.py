@@ -23,11 +23,10 @@ from repro.core import sgl
 from repro.core.config import SGLConfig
 from repro.core.sensitivity import data_distances_squared, edge_sensitivities
 from repro.core.sgl import SGLearner
-from repro.embedding.spectral import SpectralEmbedding, spectral_embedding_matrix
+from repro.embedding.spectral import spectral_embedding_matrix
 from repro.embedding import EmbeddingEngine
 from repro.graphs.generators import circuit_grid, fe_mesh, grid_2d
 from repro.measurements import simulate_measurements
-from repro.metrics.resistance import resistance_correlation
 from repro.partition import ShardedSGLearner
 from repro.stream import DriftDecision, MeasurementStream, OnlineSGLearner
 from stateless_reference import engine_under_test
@@ -163,24 +162,6 @@ def test_refit_adopts_the_fits_engine_without_a_cold_solve():
     assert learner.embedding.n_nodes == learner.graph.n_nodes
 
 
-def test_stitch_honours_sensitivity_samples(monkeypatch):
-    calls = []
-    original = sgl.edge_sensitivities
-
-    def recording(embedding, voltages, pairs, **kwargs):
-        calls.append((embedding.n_nodes, kwargs["n_samples"]))
-        return original(embedding, voltages, pairs, **kwargs)
-
-    monkeypatch.setattr(sgl, "edge_sensitivities", recording)
-    graph = INPUTS["grid"]()
-    data = simulate_measurements(graph, 40, seed=1)
-    config = dataclasses.replace(CONFIG, sensitivity_samples=16)
-    result = ShardedSGLearner(config, num_parts=4).fit(data)
-    stitch_calls = [samples for n_nodes, samples in calls if n_nodes == graph.n_nodes]
-    assert len(stitch_calls) == len(result.stitch_stats["correction_edges"]) > 0
-    assert set(samples for _, samples in calls) == {16}
-
-
 def test_data_term_gives_the_same_sensitivities():
     graph = INPUTS["fem"]()
     data = simulate_measurements(graph, 40, seed=1)
@@ -191,8 +172,6 @@ def test_data_term_gives_the_same_sensitivities():
         edge_sensitivities(embedding, data.voltages, pairs, data_term=data_term),
         edge_sensitivities(embedding, data.voltages, pairs),
     )
-    with pytest.raises(ValueError, match="data_term"):
-        edge_sensitivities(embedding, data.voltages, pairs, n_samples=8, data_term=data_term)
 
 
 def test_densify_passes_each_iteration_the_pools_data_term(monkeypatch):
@@ -236,83 +215,6 @@ def test_state_add_matches_add_edges(seed):
         assert np.array_equal(state.pool_edges, pool_edges[keep])
         assert state.graph.has_edges(pool_edges[chosen]).all()
     assert state.graph.n_edges == candidates.n_edges - state.pool_edges.shape[0]
-
-
-# ----------------------------------------------------------------------
-# Hutchinson sensitivity estimator
-# ----------------------------------------------------------------------
-def _toy_embedding(coords):
-    return SpectralEmbedding(
-        eigenvalues=np.ones(coords.shape[1]),
-        eigenvectors=coords,
-        coordinates=coords,
-        sigma_sq=float("inf"),
-    )
-
-
-def test_sketched_sensitivities_exact_when_samples_cover_columns():
-    rng = np.random.default_rng(0)
-    coords = rng.standard_normal((40, 4))
-    voltages = rng.standard_normal((40, 16))
-    pairs = np.array([[0, 1], [2, 3], [10, 30]])
-    exact = edge_sensitivities(_toy_embedding(coords), voltages, pairs)
-    # n_samples >= column count of both matrices: the sketch is the identity.
-    full = edge_sensitivities(
-        _toy_embedding(coords), voltages, pairs, n_samples=16
-    )
-    np.testing.assert_array_equal(exact, full)
-
-
-def test_sketched_sensitivities_concentrate_around_exact():
-    rng = np.random.default_rng(1)
-    coords = rng.standard_normal((60, 4))
-    voltages = rng.standard_normal((60, 256))
-    pairs = rng.integers(0, 60, size=(40, 2))
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    exact = edge_sensitivities(_toy_embedding(coords), voltages, pairs)
-    estimates = np.stack(
-        [
-            edge_sensitivities(
-                _toy_embedding(coords), voltages, pairs, n_samples=64, seed=seed
-            )
-            for seed in range(20)
-        ]
-    )
-    # Unbiased: the probe average approaches the exact sensitivities.
-    np.testing.assert_allclose(estimates.mean(axis=0), exact, atol=1.5)
-    # And the estimator preserves the ranking signal it exists to provide.
-    corr = np.corrcoef(estimates.mean(axis=0), exact)[0, 1]
-    assert corr > 0.95
-
-
-def test_sketched_sensitivities_validation():
-    rng = np.random.default_rng(2)
-    coords = rng.standard_normal((10, 3))
-    voltages = rng.standard_normal((10, 8))
-    with pytest.raises(ValueError, match="n_samples"):
-        edge_sensitivities(
-            _toy_embedding(coords), voltages, np.array([[0, 1]]), n_samples=0
-        )
-
-
-def test_config_sensitivity_samples_validation():
-    assert SGLConfig().sensitivity_samples is None
-    assert SGLConfig(sensitivity_samples=32).sensitivity_samples == 32
-    with pytest.raises(ValueError, match="sensitivity_samples"):
-        SGLConfig(sensitivity_samples=0)
-
-
-def test_fit_with_stochastic_sensitivities_tracks_exact_path():
-    from repro.measurements import simulate_measurements
-
-    truth = grid_2d(12, 12)
-    data = simulate_measurements(truth, n_measurements=40, seed=0)
-    exact = SGLearner(SGLConfig(beta=0.03)).fit(data)
-    sketched = SGLearner(SGLConfig(beta=0.03, sensitivity_samples=32)).fit(data)
-    corr_exact = resistance_correlation(truth, exact.graph, n_pairs=200, seed=0)
-    corr_sketched = resistance_correlation(truth, sketched.graph, n_pairs=200, seed=0)
-    assert abs(corr_exact - corr_sketched) <= 0.05
-    assert sketched.density == pytest.approx(exact.density, rel=0.2)
 
 
 if __name__ == "__main__":

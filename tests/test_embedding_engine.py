@@ -12,7 +12,8 @@ import pytest
 from repro import SGLearner, simulate_measurements
 from repro.core.config import SGLConfig
 from repro.core.scaling import edge_scaling_factor
-from repro.embedding.engine import EmbeddingEngine
+from repro.embedding import engine as engine_module
+from repro.embedding.engine import DRIFT_TOL, EmbeddingEngine
 from repro.embedding.spectral import spectral_embedding_matrix
 from repro.graphs.generators import grid_2d
 from repro.graphs.graph import WeightedGraph
@@ -47,16 +48,16 @@ def _pair_sample(n_nodes, n_pairs=300, seed=1):
 
 @pytest.mark.parametrize("n_rounds", [1, 5, 12])
 def test_incremental_matches_stateless_after_rounds(n_rounds):
-    graph = grid_2d(18, 18)  # 324 nodes: above warm_min_nodes with margin
-    engine = EmbeddingEngine(r=5, warm_min_nodes=16)
+    graph = grid_2d(18, 18)  # 324 nodes: above WARM_MIN_NODES with margin
+    engine = EmbeddingEngine(r=5)
     engine.refresh(graph)
     for edges, weights in _edge_rounds(graph, n_rounds):
         graph = graph.add_edges(edges, weights)
         warm = engine.refresh(graph, added_edges=edges)
     cold = spectral_embedding_matrix(graph, 5)
 
-    # Eigenvalues agree to the engine's advertised accuracy (drift_tol).
-    np.testing.assert_allclose(warm.eigenvalues, cold.eigenvalues, rtol=engine.drift_tol)
+    # Eigenvalues agree to the engine's advertised accuracy (DRIFT_TOL).
+    np.testing.assert_allclose(warm.eigenvalues, cold.eigenvalues, rtol=DRIFT_TOL)
 
     # Embedding geometry: squared pair distances are what the sensitivity
     # ranking consumes, so compare those rather than raw eigenvectors (which
@@ -76,7 +77,7 @@ def test_incremental_matches_stateless_after_rounds(n_rounds):
 
 def test_engine_reports_modes_and_counts():
     graph = grid_2d(16, 16)
-    engine = EmbeddingEngine(r=4, warm_min_nodes=16)
+    engine = EmbeddingEngine(r=4)
     engine.refresh(graph)
     assert engine.last_mode == "cold"
     (edges, weights), = _edge_rounds(graph, 1)
@@ -92,7 +93,7 @@ def test_engine_reports_modes_and_counts():
 
 def test_unchanged_graph_refresh_is_warm():
     graph = grid_2d(16, 16)
-    engine = EmbeddingEngine(r=4, warm_min_nodes=16)
+    engine = EmbeddingEngine(r=4)
     first = engine.refresh(graph)
     second = engine.refresh(graph, added_edges=np.empty((0, 2), dtype=np.int64))
     assert engine.last_mode == "warm-rr"
@@ -101,7 +102,7 @@ def test_unchanged_graph_refresh_is_warm():
 
 def test_fallback_on_warm_failure(monkeypatch):
     graph = grid_2d(16, 16)
-    engine = EmbeddingEngine(r=4, warm_min_nodes=16)
+    engine = EmbeddingEngine(r=4)
     engine.refresh(graph)
 
     # Sabotage the warm ladder: every tower solve raises, so the engine must
@@ -122,8 +123,9 @@ def test_fallback_on_warm_failure(monkeypatch):
 
 
 def test_repeated_fallbacks_disable_warm_path(monkeypatch):
+    monkeypatch.setattr(engine_module, "MAX_CONSECUTIVE_FALLBACKS", 2)
     graph = grid_2d(16, 16)
-    engine = EmbeddingEngine(r=4, warm_min_nodes=16, max_consecutive_fallbacks=2)
+    engine = EmbeddingEngine(r=4)
     engine.refresh(graph)
 
     monkeypatch.setattr(
@@ -150,7 +152,7 @@ def test_edge_weights_empty_graph_raises_keyerror():
 def test_engine_solver_is_exact_across_updates():
     """After additions, removals and weight changes the held factor is exact."""
     graph = grid_2d(15, 15)
-    engine = EmbeddingEngine(r=4, warm_min_nodes=16)
+    engine = EmbeddingEngine(r=4)
     engine.refresh(graph)
     rng = np.random.default_rng(3)
     (added, added_w), = _edge_rounds(graph, 1, per_round=6, seed=7)
@@ -210,7 +212,7 @@ def test_tower_keeps_mean_free_projection_on_doc_example(monkeypatch, leak):
     assert engine.stats.fallbacks == 0
     monkeypatch.undo()
     cold = spectral_embedding_matrix(denser, 5)
-    np.testing.assert_allclose(warm.eigenvalues, cold.eigenvalues, rtol=engine.drift_tol)
+    np.testing.assert_allclose(warm.eigenvalues, cold.eigenvalues, rtol=DRIFT_TOL)
 
 
 def _fresh_factor(graph, measurements):

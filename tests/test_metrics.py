@@ -10,8 +10,10 @@ from repro.metrics.density import (
     graph_density,
     sparsification_summary,
 )
+from repro.linalg.solvers import LaplacianSolver
 from repro.metrics.resistance import (
     compare_effective_resistances,
+    effective_resistance_batched,
     resistance_correlation,
     sample_node_pairs,
 )
@@ -52,6 +54,27 @@ def test_scaling_all_conductances_keeps_correlation_but_not_error():
     assert resistance_correlation(graph, doubled, n_pairs=80, seed=1) == pytest.approx(
         1.0, abs=1e-9
     )
+
+
+def test_batched_resistance_blocks_fit_the_scratch_budget():
+    """Blocks stay within 64 MiB of scratch, and a narrow block changes no answer."""
+    n = 40_000  # above the 32k nodes that still take 256-column blocks
+    path = WeightedGraph(n, np.arange(n - 1), np.arange(1, n))  # unit resistors
+    pairs = sample_node_pairs(n, 300, seed=0)
+    solver = LaplacianSolver(path)
+    widths = []
+    solve = solver.solve
+
+    def recording(rhs):
+        widths.append(rhs.shape[1])
+        return solve(rhs)
+
+    solver.solve = recording
+    default = effective_resistance_batched(path, pairs, solver=solver)
+    assert widths == [(1 << 26) // (8 * n), 300 - (1 << 26) // (8 * n)]
+    np.testing.assert_allclose(default, np.abs(pairs[:, 0] - pairs[:, 1]), rtol=1e-9)
+    narrow = effective_resistance_batched(path, pairs, solver=solver, block_size=7)
+    np.testing.assert_allclose(narrow, default, rtol=1e-12)
 
 
 def test_resistance_comparison_requires_matching_node_sets():

@@ -82,16 +82,38 @@ def test_learned_graph_is_connected(grid_recovery):
 
 
 def test_config_rejects_removed_step2_options():
+    from repro import SGLConfig
+
+    # One Step-2 engine and the paper's knobs only: neither the engine
+    # choice, the multilevel engine's knobs, the cold eigensolver, the
+    # sensitivity sketch nor the initial graph is a field.
+    for removed, value in (
+        ("embedding_engine", None),
+        ("multilevel_coarse_size", None),
+        ("multilevel_churn_threshold", None),
+        ("eigensolver", "dense"),
+        ("sensitivity_samples", 32),
+        ("initial_graph", "knn"),
+    ):
+        with pytest.raises(TypeError, match=removed):
+            SGLConfig(**{removed: value})
+
+
+def test_config_fields_are_the_papers_knobs():
     import dataclasses
 
     from repro import SGLConfig
 
-    # One Step-2 engine: neither the engine choice nor the multilevel
-    # engine's knobs are fields, and removed eigensolvers are rejected.
-    assert len(dataclasses.fields(SGLConfig)) == 14
-    for removed in ("embedding_engine", "multilevel_coarse_size", "multilevel_churn_threshold"):
-        with pytest.raises(TypeError, match=removed):
-            SGLConfig(**{removed: None})
-    for removed in ("lobpcg", "multilevel"):
-        with pytest.raises(ValueError, match="eigensolver"):
-            SGLConfig(eigensolver=removed)
+    assert [f.name for f in dataclasses.fields(SGLConfig)] == [
+        "k",
+        "knn_backend",
+        "r",
+        "tol",
+        "beta",
+        "sigma_sq",
+        "max_iterations",
+        "edge_scaling",
+        "track_objective",
+        "objective_eigenvalues",
+        "seed",
+    ]
