@@ -12,17 +12,17 @@ The subsystem has four layers (see DESIGN.md, "benchmark harness"):
   methods (scaled kNN, graphical Lasso, spectral sparsification, Kron
   reduction) on the same scenarios for a quality-vs-time frontier;
 * :mod:`repro.bench.results`   -- the versioned ``BENCH_<tag>.json`` artifact
-  schema and :func:`~repro.bench.results.compare`, the regression gate;
-* :mod:`repro.bench.serving`   -- the serve benchmark: queries/sec and
-  p50/p99 latency of :mod:`repro.serve` vs a naive per-query-solve
-  baseline, written as ``BENCH_serving.json``.
+  schema and :func:`~repro.bench.results.compare`, the regression gate.
+
+Serving and online learning are measured end to end by ``sglbench/run.py
+--workload serve|stream`` at the repository root, which checks every answer
+against an independent scipy solve.
 
 Drive it from the command line::
 
     python -m repro.bench list
     python -m repro.bench run --suite smoke --out BENCH_smoke.json
     python -m repro.bench run --suite paper --jobs 4
-    python -m repro.bench serve --scenario circuit/medium
     python -m repro.bench compare BENCH_main.json BENCH_pr.json
 """
 
@@ -49,7 +49,6 @@ from repro.bench.results import (
     save_artifact,
     validate_artifact,
 )
-from repro.bench.serving import run_serve_bench, serve_records_for_scenario
 
 __all__ = [
     "FAMILIES",
@@ -76,6 +75,4 @@ __all__ = [
     "make_artifact",
     "save_artifact",
     "validate_artifact",
-    "run_serve_bench",
-    "serve_records_for_scenario",
 ]

@@ -25,16 +25,6 @@ becomes the shard-pool width; scenarios run one at a time)::
 
     python -m repro.bench run --suite huge --engine sharded --parts 16 --jobs 4
 
-Benchmark the serving stack (learn, persist, reload, then answer the same
-query set naive / batched / through the asyncio service)::
-
-    python -m repro.bench serve --scenario circuit/medium --queries 512
-
-Benchmark online learning (initial fit, drifting update stream with
-versioned registry snapshots, from-scratch refit reference)::
-
-    python -m repro.bench stream --scenario circuit/medium --batches 5
-
 Gate a candidate artifact against a stored baseline (exit code 1 on any
 regression beyond the thresholds)::
 
@@ -152,94 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         "suite_metrics.json; works with --jobs — worker snapshots merge "
         "exactly); inspect with `python -m repro.obs report`",
     )
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="benchmark the repro.serve stack: save/load a learned artifact, "
-        "then measure batched vs naive per-pair query throughput",
-    )
-    p_serve.add_argument(
-        "--scenario",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="scenario(s) to learn and serve "
-        "(repeatable; default: circuit/tiny and circuit/medium)",
-    )
-    p_serve.add_argument("--queries", type=int, default=512,
-                         help="effective-resistance queries per scenario (default 512)")
-    p_serve.add_argument("--batch-size", type=int, default=64,
-                         help="pairs per grouped solve / micro-batch (default 64)")
-    p_serve.add_argument("--max-delay-ms", type=float, default=2.0,
-                         help="micro-batch deadline in ms (default 2)")
-    p_serve.add_argument("--workers", type=int, default=2,
-                         help="service worker threads (default 2)")
-    p_serve.add_argument("--seed", type=int, default=0,
-                         help="query-pair sampling seed (default 0)")
-    p_serve.add_argument("--artifact-dir", default=None, metavar="DIR",
-                         help="keep the learned .npz artifacts here "
-                         "(default: a temporary directory)")
-    p_serve.add_argument("--out", default=None, metavar="PATH",
-                         help="artifact path (default: BENCH_serving.json)")
-    p_serve.add_argument("--tag", default="serving", help="artifact tag")
-    p_serve.add_argument("--trace", default=None, metavar="DIR",
-                         help="trace the serving paths with repro.obs; "
-                         "per-scenario artifacts land in DIR "
-                         "(serve_<scenario>.jsonl + metrics/resources)")
-    p_serve.add_argument(
-        "--load",
-        action="store_true",
-        help="after the standard three paths, run a load-test sweep: mixed "
-        "resistance/neighbors/labels workloads driven closed-loop at each "
-        "--concurrency level, one serve_load_c<N> record (qps/p50/p99) per "
-        "level",
-    )
-    p_serve.add_argument(
-        "--concurrency",
-        default="8,64,512",
-        metavar="N,N,...",
-        help="comma-separated concurrent-client counts for the --load sweep "
-        "(default 8,64,512)",
-    )
-
-    p_stream = sub.add_parser(
-        "stream",
-        help="benchmark repro.stream: incremental update latency and quality "
-        "vs a from-scratch refit on a drifting measurement stream",
-    )
-    p_stream.add_argument(
-        "--scenario",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="scenario(s) to stream "
-        "(repeatable; default: circuit/tiny and circuit/medium)",
-    )
-    p_stream.add_argument("--batches", type=int, default=5,
-                          help="measurement batches to stream (default 5)")
-    p_stream.add_argument("--batch-size", type=int, default=None,
-                          help="measurements per batch "
-                          "(default: a fifth of the initial window)")
-    p_stream.add_argument("--mode", choices=("additive", "drift", "shift"),
-                          default="drift",
-                          help="stream regime (default drift)")
-    p_stream.add_argument("--drift-rate", type=float, default=0.02,
-                          help="per-batch log-normal weight drift (default 0.02)")
-    p_stream.add_argument("--refit-every", type=int, default=0, metavar="N",
-                          help="force a full refit after N incremental updates "
-                          "(default 0 = only when the detector fires)")
-    p_stream.add_argument("--seed", type=int, default=0,
-                          help="stream seed (default 0)")
-    p_stream.add_argument("--registry-dir", default=None, metavar="DIR",
-                          help="publish snapshots into this model registry "
-                          "(default: a temporary one)")
-    p_stream.add_argument("--out", default=None, metavar="PATH",
-                          help="artifact path (default: BENCH_streaming.json)")
-    p_stream.add_argument("--tag", default="streaming", help="artifact tag")
-    p_stream.add_argument("--trace", default=None, metavar="DIR",
-                          help="trace the run with repro.obs; per-scenario "
-                          "artifacts land in DIR (stream_<scenario>.jsonl "
-                          "+ metrics/resources)")
 
     p_cmp = sub.add_parser(
         "compare",
@@ -415,167 +317,6 @@ def _merge_suite_metrics(records, trace_dir) -> Path:
     return suite.save(Path(trace_dir) / "suite_metrics.json")
 
 
-def _cmd_serve(args) -> int:
-    from repro.bench.serving import run_serve_bench
-
-    scenarios = args.scenario or ["circuit/tiny", "circuit/medium"]
-    try:
-        for name in scenarios:
-            registry.get_scenario(name)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    load_concurrency = None
-    if args.load:
-        try:
-            load_concurrency = [
-                int(level) for level in args.concurrency.split(",") if level.strip()
-            ]
-            if not load_concurrency or min(load_concurrency) < 1:
-                raise ValueError
-        except ValueError:
-            print(
-                "error: --concurrency must be a comma-separated list of "
-                "positive integers",
-                file=sys.stderr,
-            )
-            return 2
-
-    def progress(name, records):
-        by_method = {record.method: record for record in records}
-        naive = by_method["serve_naive"]
-        batched = by_method["serve_batched"]
-        service = by_method["serve_service"]
-        print(
-            f"  {name:28s} N={naive.n_nodes:6d}  "
-            f"naive {naive.quality['qps']:8.1f} q/s  "
-            f"batched {batched.quality['qps']:8.1f} q/s "
-            f"({batched.info['speedup_vs_naive']:.1f}x)  "
-            f"service {service.quality['qps']:8.1f} q/s "
-            f"p99={service.quality['p99_ms']:.2f}ms"
-        )
-        for record in records:
-            if record.method.startswith("serve_load_c"):
-                print(
-                    f"    load c={record.info['concurrency']:<5d} "
-                    f"{record.quality['qps']:8.1f} q/s  "
-                    f"p50={record.quality['p50_ms']:.2f}ms  "
-                    f"p99={record.quality['p99_ms']:.2f}ms"
-                )
-
-    print(
-        f"serve bench: {len(scenarios)} scenario(s), "
-        f"{args.queries} queries, batch={args.batch_size}, "
-        f"deadline={args.max_delay_ms}ms, workers={args.workers}"
-    )
-    start = time.perf_counter()
-    records = run_serve_bench(
-        scenarios,
-        n_queries=args.queries,
-        batch_size=args.batch_size,
-        max_delay_ms=args.max_delay_ms,
-        workers=args.workers,
-        seed=args.seed,
-        artifact_dir=args.artifact_dir,
-        trace_dir=args.trace,
-        load_concurrency=load_concurrency,
-        progress=progress,
-    )
-    elapsed = time.perf_counter() - start
-    out = args.out or "BENCH_serving.json"
-    artifact = make_artifact(
-        args.tag,
-        records,
-        run_config={
-            "scenarios": scenarios,
-            "queries": args.queries,
-            "batch_size": args.batch_size,
-            "max_delay_ms": args.max_delay_ms,
-            "workers": args.workers,
-            "seed": args.seed,
-            "trace": args.trace,
-            "load_concurrency": load_concurrency,
-        },
-    )
-    path = save_artifact(artifact, out)
-    print(f"wrote {len(records)} record(s) to {path} in {elapsed:.1f}s")
-    if args.trace is not None:
-        print(
-            f"trace artifacts in {args.trace}/ "
-            "(inspect with `python -m repro.obs report`)"
-        )
-    return 0
-
-
-def _cmd_stream(args) -> int:
-    from repro.bench.streaming import run_stream_bench
-
-    scenarios = args.scenario or ["circuit/tiny", "circuit/medium"]
-    try:
-        for name in scenarios:
-            registry.get_scenario(name)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-
-    def progress(name, records):
-        by_method = {record.method: record for record in records}
-        update = by_method["stream_update"]
-        refit = by_method["stream_refit"]
-        print(
-            f"  {name:28s} N={update.n_nodes:6d}  "
-            f"updates {update.info['n_incremental']}/{update.info['n_updates']} incr  "
-            f"mean {1e3 * update.info['mean_update_seconds']:7.1f}ms  "
-            f"refit {1e3 * update.info['refit_seconds']:7.1f}ms "
-            f"({update.quality['speedup_vs_refit']:.1f}x)  "
-            f"corr {update.quality['resistance_correlation']:.3f} "
-            f"(refit {refit.quality['resistance_correlation']:.3f})  "
-            f"v{update.info['latest_version']}"
-        )
-
-    print(
-        f"stream bench: {len(scenarios)} scenario(s), "
-        f"{args.batches} batches, mode={args.mode}, drift={args.drift_rate}"
-    )
-    start = time.perf_counter()
-    records = run_stream_bench(
-        scenarios,
-        n_batches=args.batches,
-        batch_size=args.batch_size,
-        mode=args.mode,
-        drift_rate=args.drift_rate,
-        max_updates_between_refits=args.refit_every,
-        seed=args.seed,
-        registry_dir=args.registry_dir,
-        trace_dir=args.trace,
-        progress=progress,
-    )
-    elapsed = time.perf_counter() - start
-    out = args.out or "BENCH_streaming.json"
-    artifact = make_artifact(
-        args.tag,
-        records,
-        run_config={
-            "scenarios": scenarios,
-            "batches": args.batches,
-            "batch_size": args.batch_size,
-            "mode": args.mode,
-            "drift_rate": args.drift_rate,
-            "refit_every": args.refit_every,
-            "seed": args.seed,
-            "trace": args.trace,
-        },
-    )
-    path = save_artifact(artifact, out)
-    print(f"wrote {len(records)} record(s) to {path} in {elapsed:.1f}s")
-    if args.trace is not None:
-        print(
-            f"trace artifacts in {args.trace}/ "
-            "(inspect with `python -m repro.obs report`)"
-        )
-    return 0
-
-
 def _cmd_compare(args) -> int:
     try:
         baseline = load_artifact(args.baseline)
@@ -600,10 +341,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_list(args)
     if args.command == "run":
         return _cmd_run(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "stream":
-        return _cmd_stream(args)
     if args.command == "compare":
         return _cmd_compare(args)
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -25,17 +25,19 @@ Artifact layout (``BENCH_<tag>.json``, schema v1)::
   slowed down by more than ``time_threshold`` — total wall time can hide a
   stage-level regression offset by a win elsewhere;
 * *quality regressions*: effective-resistance correlation dropped by more
-  than ``quality_threshold`` (absolute), or learned density grew by more
-  than ``time_threshold`` (relative).
+  than ``quality_threshold`` (absolute);
+* *density regressions*: learned density grew by more than the fixed
+  :data:`DENSITY_THRESHOLD` (5 %, relative), whatever ``time_threshold``
+  is.
 
 Two artifacts made on different hardware (another ``cpu_model`` or
 ``cpu_count``) get a warning, which does not fail the gate either: their
 times are not comparable, so a pass or a failure says less.
 
 Records present on only one side are reported as notes, not failures, so
-adding scenarios never breaks the gate; so is engine-provenance drift (a
-changed ``resistance_engine`` or a moved ``engine_fallbacks`` count in a
-record's ``info`` block).  Few-millisecond timings are exempt from the
+adding scenarios never breaks the gate; so is provenance drift (a moved
+``engine_fallbacks`` count or a changed ``graph_sha256`` in a record's
+``info`` block).  Few-millisecond timings are exempt from the
 time gate (``min_seconds``) — they are dominated by timer noise.
 """
 
@@ -418,11 +420,10 @@ def compare(
                 )
 
         # Provenance drift is worth a note even when the numbers pass: a
-        # changed resistance engine or a warm path that started falling
-        # back explains timing shifts the thresholds might just absorb, and
-        # a changed learned graph is news even at equal quality.
+        # warm path that started falling back explains timing shifts the
+        # thresholds might just absorb, and a changed learned graph is news
+        # even at equal quality.
         for info_key, label in (
-            ("resistance_engine", "resistance engine"),
             ("engine_fallbacks", "engine fallbacks"),
             ("graph_sha256", "learned graph"),
         ):

@@ -23,8 +23,9 @@ divide between per-model precomputation and per-query work:
   :func:`serve_forever`, a newline-delimited JSON TCP server over it.
 
 ``repro-serve`` (see :mod:`repro.serve.cli`) exposes ``warm``, ``query``
-and ``serve`` on the command line; ``python -m repro.bench serve``
-benchmarks the stack against a naive per-query-solve baseline.
+and ``serve`` on the command line; ``sglbench/run.py --workload serve`` at
+the repository root benchmarks the stack and checks every answer against
+an independent scipy solve.
 """
 
 from repro.serve.batching import BatchStats, MicroBatcher

@@ -172,9 +172,6 @@ class GraphService:
     adaptive_flush:
         Forwarded to the batcher: flush as soon as a compute worker is
         idle instead of always waiting out ``max_delay_s`` (default True).
-    session_options:
-        Extra keyword arguments for every :class:`~repro.serve.GraphSession`
-        (e.g. ``knn_backend``, ``resistance_block``).
     metrics:
         :class:`~repro.obs.MetricsRegistry` the service (and its batcher)
         records into; ``None`` creates a private one.  Always available as
@@ -224,7 +221,6 @@ class GraphService:
         max_workers: int = 2,
         loader_workers: int = 1,
         adaptive_flush: bool = True,
-        session_options: dict | None = None,
         metrics: MetricsRegistry | None = None,
         registry=None,
         mmap_mode: str | None = None,
@@ -244,7 +240,6 @@ class GraphService:
         self._cache_lock = threading.Lock()
         self._registry = registry
         self._mmap_mode = mmap_mode
-        self._session_options = dict(session_options or {})
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-serve-compute"
         )
@@ -373,7 +368,7 @@ class GraphService:
         # Build outside the lock — factorising can take seconds.  Two
         # concurrent cold loads of the same model may both build; the
         # loser's session is discarded below, which only wastes work.
-        session = GraphSession(artifact, previous=previous, **self._session_options)
+        session = GraphSession(artifact, previous=previous)
         evicted = 0
         with self._cache_lock:
             existing = self._sessions.get(checksum)

@@ -264,7 +264,6 @@ class GraphSession:
             else:
                 self._index = _EmbeddingIndex(embedding, knn_backend, seed)
         self.factor_seconds = time.perf_counter() - start
-        self._solver: LaplacianSolver | None = None
         self._lock = threading.Lock()
         self._counters = {"resistance": 0, "neighbors": 0, "labels": 0}
 
@@ -283,21 +282,6 @@ class GraphSession:
     def has_embedding(self) -> bool:
         """Whether embedding-backed queries (neighbours) are available."""
         return self._index is not None
-
-    @property
-    def solver(self) -> LaplacianSolver:
-        """Grounded factorisation of this session's Laplacian, built on first use.
-
-        The grouped resistance path reuses it; the oracle path never needs
-        it.  A fresh session shares it with its resistance engine.
-        """
-        if self._solver is None:
-            self._solver = (
-                self._base.solver
-                if self.derived_from is None
-                else LaplacianSolver(self.graph)
-            )
-        return self._solver
 
     # ------------------------------------------------------------------
     def _embedding_index(self):

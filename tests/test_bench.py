@@ -13,11 +13,14 @@ from repro.bench import (
     list_suites,
     load_artifact,
     make_artifact,
+    registry,
     run_scenario,
     save_artifact,
     validate_artifact,
 )
 from repro.bench.cli import main
+from repro.bench.cli import main as bench_main
+from repro.bench.runner import run_suite
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +234,6 @@ def test_compare_treats_absent_fallback_count_as_zero(tiny_records):
     stripped = json.loads(json.dumps(baseline))
     for record in stripped["results"]:
         record["info"].pop("engine_fallbacks", None)
-        record["info"].setdefault("resistance_engine", "dense")
     candidate = json.loads(json.dumps(stripped))
     for record in candidate["results"]:
         record["info"]["engine_fallbacks"] = 0
@@ -353,3 +355,49 @@ def test_cli_rejects_unknown_baseline(tmp_path):
         ]
     )
     assert code == 2
+
+
+# ----------------------------------------------------------------------
+# Parallel suite runner (--jobs)
+# ----------------------------------------------------------------------
+class TestJobsRunner:
+    def _specs(self):
+        return [registry.get_scenario(n) for n in ("grid_2d/tiny", "circuit/tiny")]
+
+    def test_parallel_matches_serial(self):
+        specs = self._specs()
+        serial = run_suite(specs, n_quality_pairs=40)
+        parallel = run_suite(specs, n_quality_pairs=40, jobs=2)
+        assert [(r.scenario, r.method) for r in serial] == [
+            (r.scenario, r.method) for r in parallel
+        ]
+        for a, b in zip(serial, parallel):
+            # Learner outputs are deterministic; only wall times may differ.
+            assert a.quality == b.quality
+            assert a.n_nodes == b.n_nodes
+            assert a.info["n_iterations"] == b.info["n_iterations"]
+
+    def test_progress_fires_once_per_scenario(self):
+        seen = []
+        run_suite(
+            self._specs(), n_quality_pairs=40, jobs=2,
+            progress=lambda spec, records: seen.append(spec.name),
+        )
+        assert sorted(seen) == ["circuit/tiny", "grid_2d/tiny"]
+
+    def test_jobs_validation(self):
+        with pytest.raises(ValueError, match="jobs"):
+            run_suite(self._specs(), jobs=0)
+
+    def test_cli_jobs_flag(self, tmp_path, capsys):
+        out = tmp_path / "BENCH_jobs.json"
+        code = bench_main([
+            "run", "--scenario", "grid_2d/tiny", "--scenario", "circuit/tiny",
+            "--jobs", "2", "--baselines", "none", "--no-memory",
+            "--out", str(out), "--tag", "jobs-test",
+        ])
+        assert code == 0
+        artifact = validate_artifact(json.loads(out.read_text()))
+        assert [r["scenario"] for r in artifact["results"]] == [
+            "grid_2d/tiny", "circuit/tiny",
+        ]

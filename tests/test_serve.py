@@ -15,6 +15,7 @@ from repro.core.config import SGLConfig
 from repro.core.sgl import learn_graph
 from repro.graphs.generators import grid_2d
 from repro.graphs.graph import WeightedGraph
+from repro.linalg.solvers import LaplacianSolver
 from repro.linalg.pseudoinverse import effective_resistance
 from repro.measurements.generator import simulate_measurements
 from repro.metrics.resistance import sample_node_pairs
@@ -740,17 +741,17 @@ class TestServiceConcurrency:
     """The service-path concurrency regression suite (ISSUE 9 satellite)."""
 
     def test_service_matches_naive_and_coalesces(self, learned, artifact_path):
-        # The throughput claim (the service path beats per-pair solves) is
-        # timed by the serving benchmark and gated in CI against
-        # BENCH_serving.json; a wall-clock ratio here only measured the
-        # host's load.  What is checked here is the mechanism behind the
-        # claim: concurrent queries get the naive answers, in fewer batches
-        # than queries.
+        # The service's throughput is timed by sglbench's serve workload,
+        # which CI holds to a floor of the committed
+        # BENCH_sglbench_serve.json; a wall-clock ratio here only measured
+        # the host's load.  What is checked here is the mechanism: concurrent
+        # queries get the naive per-pair answers, in fewer batches than
+        # queries.
         n = 512
         pairs = sample_node_pairs(learned.graph.n_nodes, n, seed=7)
-        session = GraphSession.from_file(artifact_path)
+        solver = LaplacianSolver(learned.graph)
         naive = np.array([
-            effective_resistance(learned.graph, pair[None, :], solver=session.solver)[0]
+            effective_resistance(learned.graph, pair[None, :], solver=solver)[0]
             for pair in pairs
         ])
 

@@ -267,6 +267,35 @@ class TestOnlineSGLearner:
         assert update_span.attributes["mode"] in ("incremental", "refit")
         assert "n_new" in update_span.attributes
 
+    def test_published_stream_emits_the_stage_spans(self, tmp_path):
+        # With a registry attached: one stream.fit, one stream.update per
+        # batch, and the stream-only stages under them -- a drift_check in
+        # every update and a publish for every version.
+        stream = small_stream("drift", drift_rate=0.02)
+        learner, registry = self.make_learner(tmp_path)
+        with ObsSession() as obs:
+            learner.fit(stream.next_batch())
+            for batch in stream.batches(3):
+                learner.update(batch)
+        spans = obs.tracer.spans()
+        names = [s.name for s in spans]
+        assert names.count("stream.fit") == 1
+        assert names.count("stream.update") == 3
+        assert names.count("drift_check") == 3
+        assert names.count("publish") == 4
+        by_id = {s.span_id: s for s in spans}
+
+        def root(span):
+            while span.parent_id is not None:
+                span = by_id[span.parent_id]
+            return span.name
+
+        assert [root(s) for s in spans if s.name == "publish"] == [
+            "stream.fit", "stream.update", "stream.update", "stream.update",
+        ]
+        assert {root(s) for s in spans if s.name == "drift_check"} == {"stream.update"}
+        assert registry.get("grid@latest").version == 4
+
     def test_update_timings_cover_the_stream_stages(self):
         stream = small_stream("additive")
         learner, _ = self.make_learner()
